@@ -49,9 +49,9 @@ int main() {
     for (const double frac : {0.05, 0.10, 0.25}) {
       dse::ExploreOptions opts;
       opts.common.time_limit_seconds = limit;
-      opts.epsilon = pareto::Vec(3, 0);
+      opts.common.epsilon = pareto::Vec(3, 0);
       for (std::size_t o = 0; o < 3; ++o) {
-        opts.epsilon[o] = std::max<std::int64_t>(
+        opts.common.epsilon[o] = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(frac * static_cast<double>(hi[o] - lo[o])));
       }
       const dse::ExploreResult approx = dse::explore(spec, opts);
@@ -63,7 +63,7 @@ int main() {
           for (const auto& p : approx.front) {
             bool le = true;
             for (std::size_t o = 0; o < 3; ++o) {
-              if (p[o] > q[o] + opts.epsilon[o]) le = false;
+              if (p[o] > q[o] + opts.common.epsilon[o]) le = false;
             }
             if (le) {
               found = true;
@@ -79,7 +79,7 @@ int main() {
         }
       }
       table.add_row({entry.name,
-                     util::fmt(100.0 * frac, 0) + "% " + pareto::to_string(opts.epsilon),
+                     util::fmt(100.0 * frac, 0) + "% " + pareto::to_string(opts.common.epsilon),
                      approx.stats.complete ? util::fmt(approx.stats.seconds, 3)
                                            : std::string("t/o"),
                      util::fmt(static_cast<long long>(approx.front.size())),

@@ -25,10 +25,11 @@
 
 // -- Exploration ------------------------------------------------------------
 // dse::CommonOptions — the option block shared by both explorers (budget,
-// archive kind, checkpointing, certification, observability hooks).
+// archive kind, checkpointing, certification, epsilon-dominance,
+// observability hooks).
 #include "dse/options.hpp"
-// dse::explore — the sequential exact explorer (ExploreOptions adds the
-// epsilon-dominance knob); dse::enumerate_witnesses; dse::export_metrics.
+// dse::explore — the sequential exact explorer, i.e. the one-worker
+// portfolio; dse::enumerate_witnesses; dse::export_metrics.
 #include "dse/explorer.hpp"
 // dse::explore_parallel — the parallel portfolio (ParallelExploreOptions
 // adds threads/seed/shards; the result embeds an ExploreResult as .base).

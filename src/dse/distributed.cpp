@@ -764,7 +764,8 @@ DistributedResult explore_distributed(const synth::Specification& spec,
   bool any_failed = false;
   std::map<pareto::Vec, synth::Implementation> witness_by_point;
   std::vector<std::pair<pareto::Vec, synth::Implementation>> union_discoveries;
-  pareto::ConcurrentArchive merged(options.base.common.archive_kind, 3,
+  pareto::ConcurrentArchive merged(options.base.common.archive_kind,
+                                   spec.axis_count(),
                                    options.base.archive_shards);
   std::uint64_t total_models = 0;
 

@@ -25,14 +25,9 @@ namespace aspmt::dse {
 
 struct ExploreOptions {
   /// Everything shared with the portfolio explorer — limits, archive kind,
-  /// certification, fault-tolerant runtime, observability (see options.hpp).
+  /// certification, ε-dominance, fault-tolerant runtime, observability (see
+  /// options.hpp).
   CommonOptions common;
-  /// ε-dominance approximation (one additive slack per objective, in
-  /// canonical order latency/energy/cost).  Empty = exact.  With a non-empty
-  /// epsilon the run terminates with an ε-approximate front: every true
-  /// Pareto point q is covered by a returned point p with p <= q + eps.
-  /// Sequential-only: the portfolio explorer always runs exact.
-  pareto::Vec epsilon;
 };
 
 struct ExploreStats {
@@ -51,11 +46,16 @@ struct ExploreStats {
   /// Incremental re-exploration (respec.hpp): learnt clauses installed
   /// behind the replay guard (summed over workers in the portfolio).
   std::uint64_t replayed_clauses = 0;
+  /// Wall time of the whole explorer call: warm start, search, front
+  /// certification and the final checkpoint write (what a caller timing the
+  /// call would measure).
   double seconds = 0.0;
   bool complete = false;  ///< true iff the front is proven exact
   /// Structured cause of termination.  `Completed` iff `complete`, except
   /// after a contained worker failure, where the front may still have been
-  /// proven exact by survivors while the reason honestly reports the crash.
+  /// proven exact by survivors while the reason honestly reports the crash,
+  /// and after refused options (an epsilon of the wrong length), where
+  /// nothing ran and `errors` says why.
   StopReason reason = StopReason::Completed;
 };
 
@@ -85,7 +85,10 @@ struct ExploreResult {
   ExploreStats stats;
 };
 
-/// Compute the exact Pareto front of `spec` (latency, energy, cost).
+/// Compute the exact Pareto front of `spec`, one point per Pareto axis
+/// (latency, energy, cost on classic specs).  This is the one-worker
+/// portfolio: explore_parallel with threads = 1, run inline in the calling
+/// thread, returning its `base` result.
 [[nodiscard]] ExploreResult explore(const synth::Specification& spec,
                                     const ExploreOptions& options = {});
 

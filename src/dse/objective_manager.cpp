@@ -1,51 +1,13 @@
 #include "dse/objective_manager.hpp"
 
-#include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "dse/combinator_bounds.hpp"
 
 namespace aspmt::dse {
 
-namespace {
-
-void warn_deprecated_once(const char* what, const char* replacement) {
-  static bool warned[3] = {false, false, false};
-  const int slot = what[4] == 'l' ? 0 : (what[4] == 'm' ? 1 : 2);
-  if (warned[slot]) return;
-  warned[slot] = true;
-  std::fprintf(stderr,
-               "warning: ObjectiveManager::%s is deprecated and will be "
-               "removed next release; use %s\n",
-               what, replacement);
-}
-
-}  // namespace
-
 void ObjectiveManager::add(ObjectiveTerm term) {
   axes_.push_back(std::move(term));
-}
-
-void ObjectiveManager::add_linear(std::string name,
-                                  theory::LinearSumPropagator* propagator,
-                                  theory::LinearSumPropagator::SumId sum) {
-  warn_deprecated_once("add_linear", "add(ObjectiveTerm::linear(...))");
-  add(ObjectiveTerm::linear(std::move(name), propagator, sum));
-}
-
-void ObjectiveManager::add_makespan(std::string name,
-                                    theory::DifferencePropagator* propagator,
-                                    theory::DifferencePropagator::NodeId node) {
-  warn_deprecated_once("add_makespan", "add(ObjectiveTerm::makespan(...))");
-  add(ObjectiveTerm::makespan(std::move(name), propagator, node));
-}
-
-void ObjectiveManager::add_floor(theory::LinearSumPropagator* propagator,
-                                 theory::LinearSumPropagator::SumId sum) {
-  warn_deprecated_once("add_floor", "ObjectiveTerm::with_floor(...)");
-  assert(!axes_.empty());
-  axes_.back().with_floor(propagator, sum);
 }
 
 pareto::Vec ObjectiveManager::lower_bounds() const {

@@ -24,9 +24,7 @@ class CombinatorBoundPropagator;
 
 class ObjectiveManager {
  public:
-  /// Register one Pareto axis.  This is the only registration surface; the
-  /// positional add_linear/add_makespan/add_floor calls below are deprecated
-  /// shims over it.
+  /// Register one Pareto axis.  This is the only registration surface.
   void add(ObjectiveTerm term);
 
   /// Wire the residual-bound propagator (and, transitively, its proof log)
@@ -35,21 +33,6 @@ class ObjectiveManager {
   void attach_combinator_bounds(CombinatorBoundPropagator* residual) noexcept {
     residual_ = residual;
   }
-
-  // ---- deprecated registration shims (one release; use add()) -------------
-
-  /// \deprecated Use add(ObjectiveTerm::linear(...)).
-  void add_linear(std::string name, theory::LinearSumPropagator* propagator,
-                  theory::LinearSumPropagator::SumId sum);
-
-  /// \deprecated Use add(ObjectiveTerm::makespan(...)).
-  void add_makespan(std::string name, theory::DifferencePropagator* propagator,
-                    theory::DifferencePropagator::NodeId node);
-
-  /// \deprecated Use ObjectiveTerm::with_floor before add().  Attaches a
-  /// floor to the most recently added axis, which must be a linear leaf.
-  void add_floor(theory::LinearSumPropagator* propagator,
-                 theory::LinearSumPropagator::SumId sum);
 
   // ---- axis inspection ----------------------------------------------------
 

@@ -2,12 +2,12 @@
 // sequential and the portfolio explorer.
 //
 // Both ExploreOptions and ParallelExploreOptions embed one CommonOptions by
-// composition (`opts.common.time_limit_seconds = ...`); the wrapper structs
-// only add their mode-specific extras (epsilon; threads/seed/shards).  No
-// field is declared twice across the two explorer headers, and anything
-// attachable in one place — budgets, checkpoints, fault plans, and the
-// observability sink/registry — is attachable to both explorers the same
-// way.
+// composition (`opts.common.time_limit_seconds = ...`); ExploreOptions holds
+// nothing else, ParallelExploreOptions adds the portfolio's
+// threads/seed/shards.  No field is declared twice across the two explorer
+// headers, and anything attachable in one place — budgets, checkpoints,
+// fault plans, and the observability sink/registry — is attachable to both
+// explorers the same way.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 
 #include "asp/solver.hpp"
 #include "dse/warmstart.hpp"
+#include "pareto/point.hpp"
 
 namespace aspmt::obs {
 class EventSink;
@@ -49,6 +50,14 @@ struct CommonOptions {
   /// off (floor explanations are not independently re-derivable; the front
   /// is unaffected).  Incompatible with a non-empty epsilon.
   bool certify = false;
+  /// ε-dominance approximation: one additive slack per Pareto axis, in the
+  /// spec's axis order (spec.axis_count() entries).  Empty = exact.  With a
+  /// non-empty epsilon the run terminates with an ε-approximate set: every
+  /// true Pareto point q is covered by a returned point p with p <= q + eps.
+  /// Honoured by every worker at every thread count.  An epsilon of any
+  /// other length is refused: the run does not start and the result carries
+  /// the error.
+  pareto::Vec epsilon;
   asp::SolverOptions solver_options{};  ///< portfolio workers diversify this
   /// Hybrid heuristic–exact pipeline (warmstart.hpp): a budgeted heuristic
   /// pass whose validated candidates seed the archive before solving, so

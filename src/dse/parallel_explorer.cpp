@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "asp/proof.hpp"
 #include "cert/certify.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/context.hpp"
@@ -68,9 +69,9 @@ struct SharedState {
   std::uint64_t checkpoint_seed = 0;
   std::uint64_t fingerprint = 0;
   // v3 checkpoint payload: per-section digests (set once at setup) and the
-  // sequential anchor's learnt-clause dump.  Worker 0 publishes its dump at
-  // exit under `mutex`, so only the final snapshot carries clauses —
-  // mid-run snapshots dump points only.
+  // sequential anchor's learnt-clause dump.  Worker 0 refreshes its dump
+  // under `mutex` before every snapshot it triggers and once more at exit;
+  // snapshots triggered by other workers carry the latest refresh.
   SectionDigests sections;
   std::size_t clause_dump_cap = 0;
   std::uint32_t clause_base_vars = 0;
@@ -170,6 +171,7 @@ void run_worker(std::size_t index, std::size_t total,
   // lemma a point justifies has its feasible-point step earlier in the same
   // stream, whichever worker discovered (or warm-seeded) the point.
   ctx.dominance().set_proof(proof);
+  if (!common.epsilon.empty()) ctx.dominance().set_epsilon(common.epsilon);
 
   // Incremental re-exploration (respec.hpp): every worker owns an
   // independent solver, so each installs the previous session's clauses
@@ -225,6 +227,28 @@ void run_worker(std::size_t index, std::size_t total,
       shard_assume.push_back(act);
     }
   }
+
+  // The sequential anchor donates its learnt clauses to v3 checkpoints
+  // (worker 0's strategy matches what a future sequential or anchor solver
+  // would replay against).
+  const auto donate_clauses = [&]() {
+    if (index != 0 || shared.clause_dump_cap == 0) return;
+    std::vector<std::vector<std::int32_t>> dump;
+    for (const std::vector<asp::Lit>& cl :
+         ctx.solver.export_learnts(base_vars, shared.clause_dump_cap)) {
+      if (cl.size() > 1024) continue;  // the checkpoint format's clause cap
+      std::vector<std::int32_t> dimacs;
+      dimacs.reserve(cl.size());
+      for (const asp::Lit l : cl) {
+        dimacs.push_back(static_cast<std::int32_t>(asp::proof_int(l)));
+      }
+      dump.push_back(std::move(dimacs));
+    }
+    if (dump.empty()) return;
+    std::lock_guard lock(shared.mutex);
+    shared.clause_base_vars = base_vars;
+    shared.clauses = std::move(dump);
+  };
 
   std::vector<asp::Lit> assumptions;  // the active slice bound, if any
   std::size_t active_slice = kNoSlice;
@@ -285,6 +309,7 @@ void run_worker(std::size_t index, std::size_t total,
     if (shared.checkpoint != nullptr && shared.checkpoint->due()) {
       // Ignore write errors here: a failing disk must not kill the search.
       // The final write at end of run reports them.
+      donate_clauses();
       const Checkpoint c = shared.snapshot();
       const std::string err = shared.checkpoint->write_if_due(c);
       if (rec != nullptr) {
@@ -360,9 +385,10 @@ void run_worker(std::size_t index, std::size_t total,
       }
       pareto::Vec point = ctx.capture().vector();
       publish(point);
-      // Drill down to a Pareto-optimal point exactly as the sequential
-      // explorer does, except that a peer may publish the point first — the
-      // rejected insert is counted, never asserted against.
+      // Drill down: chase strictly dominating points until none is left.  The
+      // archive already blocks f >= point, so requiring f <= point leaves
+      // exactly the strictly-better region.  A peer may publish a point
+      // first — the rejected insert is counted, never asserted against.
       bool out_of_time = false;
       while (common.drill_down) {
         const asp::Lit act = asp::Lit::make(ctx.solver.new_var(), true);
@@ -395,28 +421,7 @@ void run_worker(std::size_t index, std::size_t total,
     shared.record_failure(index, active_slice, "unknown exception");
   }
 
-  // The sequential anchor donates its learnt clauses to the final v3
-  // checkpoint (worker 0's strategy matches what a future sequential or
-  // anchor solver would replay against).
-  if (index == 0 && shared.clause_dump_cap > 0) {
-    std::vector<std::vector<std::int32_t>> dump;
-    for (const std::vector<asp::Lit>& cl :
-         ctx.solver.export_learnts(base_vars, shared.clause_dump_cap)) {
-      if (cl.size() > 1024) continue;  // the checkpoint format's clause cap
-      std::vector<std::int32_t> dimacs;
-      dimacs.reserve(cl.size());
-      for (const asp::Lit l : cl) {
-        const auto v = static_cast<std::int32_t>(l.var()) + 1;
-        dimacs.push_back(l.positive() ? v : -v);
-      }
-      dump.push_back(std::move(dimacs));
-    }
-    if (!dump.empty()) {
-      std::lock_guard lock(shared.mutex);
-      shared.clause_base_vars = base_vars;
-      shared.clauses = std::move(dump);
-    }
-  }
+  donate_clauses();
 
   const asp::SolverStats& s = ctx.solver.stats();
   report.prunings = ctx.dominance().prunings();
@@ -444,6 +449,26 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
                             ? options.threads
                             : std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
+
+  ParallelExploreResult result;
+  if (!common.epsilon.empty() && common.epsilon.size() != spec.axis_count()) {
+    // Refused before any work: a short epsilon would be read past its end
+    // by the dominance propagator, a long one would silently be truncated.
+    result.base.errors.push_back(
+        "epsilon has " + std::to_string(common.epsilon.size()) +
+        " entries but the specification has " +
+        std::to_string(spec.axis_count()) + " Pareto axes; nothing explored");
+    return result;
+  }
+  // ε-dominance prunes regions no archived point weakly dominates, which
+  // the checker's DOM re-derivation (rightly) refuses; the run proceeds
+  // uncertified.
+  const bool certify = common.certify && common.epsilon.empty();
+  if (common.certify && !certify) {
+    result.base.certificate_error =
+        "certification requires exact exploration (empty epsilon)";
+  }
+  const bool collect = common.collect_witnesses || certify;
 
   Budget local_budget(BudgetLimits{common.time_limit_seconds,
                                    common.conflict_budget,
@@ -486,7 +511,6 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     return collector != nullptr ? &collector->recorder(w) : nullptr;
   };
 
-  ParallelExploreResult result;
   result.workers.resize(threads);
 
   // Warm start: seed the shared archive before any worker spawns, so every
@@ -533,9 +557,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
         orec->record(obs::EventKind::WarmStartSeed, axis_or_zero(seed.point, 0),
                      axis_or_zero(seed.point, 1), axis_or_zero(seed.point, 2));
       }
-      if (common.collect_witnesses || common.certify) {
-        shared.witnesses[seed.point] = std::move(seed.impl);
-      }
+      if (collect) shared.witnesses[seed.point] = std::move(seed.impl);
     }
   }
 
@@ -558,7 +580,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   // Proof logs are per worker (never shared across threads); the winner's
   // becomes the portfolio's completeness certificate.
   std::vector<std::unique_ptr<asp::ProofLog>> logs(threads);
-  if (common.certify) {
+  if (certify) {
     for (auto& log : logs) log = std::make_unique<asp::ProofLog>();
   }
 
@@ -585,9 +607,13 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     for (std::thread& t : pool) t.join();
   }
   result.worker_errors = shared.errors;
+  for (const WorkerError& e : result.worker_errors) {
+    result.base.errors.push_back("exploration aborted: worker " +
+                                 std::to_string(e.worker) + ": " + e.message);
+  }
 
   result.base.front = shared.archive.points();
-  if (common.collect_witnesses || common.certify) {
+  if (collect) {
     result.base.witnesses.reserve(result.base.front.size());
     for (const pareto::Vec& p : result.base.front) {
       const auto it = shared.witnesses.find(p);
@@ -603,7 +629,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
       }
     }
   }
-  if (common.collect_witnesses || common.certify) {
+  if (collect) {
     std::lock_guard lock(shared.mutex);
     result.discovery_witnesses.assign(shared.witnesses.begin(),
                                       shared.witnesses.end());
@@ -625,14 +651,13 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     stats.replayed_clauses += w.replayed_clauses;
   }
   stats.archive_comparisons += shared.archive.comparisons();
-  stats.seconds = shared.timer.elapsed_seconds();
   stats.complete = shared.complete.load(std::memory_order_acquire);
   // A contained crash is reported even when survivors proved the front
   // exact: `complete` certifies the mathematics, `reason` the operations.
   stats.reason = !result.worker_errors.empty() ? StopReason::WorkerFailure
                                                : budget->finish(stats.complete);
 
-  if (common.certify) {
+  if (certify) {
     const auto winner =
         std::find_if(result.workers.begin(), result.workers.end(),
                      [](const WorkerReport& w) { return w.proved_complete; });
@@ -678,6 +703,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     if (!err.empty()) result.base.errors.push_back(err);
   }
 
+  stats.seconds = shared.timer.elapsed_seconds();
   if (orec != nullptr) {
     orec->record(obs::EventKind::RunEnd,
                  static_cast<std::int64_t>(result.base.front.size()),

@@ -25,8 +25,11 @@
 // problem unsatisfiable under dominance pruning — at that moment the shared
 // archive weakly dominates every feasible point and, since every archived
 // point is itself a feasible model, it *is* the unique exact Pareto front.
-// Hence the front is identical to the sequential explorer's for every
-// thread count (the test layer enforces this point-for-point).
+// Hence the front is identical at every thread count, the one-worker
+// sequential explorer included (the test layer enforces this
+// point-for-point).  With a non-empty epsilon the archive ε-covers every
+// feasible point instead; which ε-set is returned may then depend on the
+// discovery order, and so on the thread count.
 #pragma once
 
 #include <cstdint>
@@ -131,9 +134,9 @@ struct ParallelExploreResult {
 };
 
 /// Compute the exact Pareto front of `spec` with a portfolio of
-/// `options.threads` diversified workers.  With threads == 1 the worker
-/// runs inline in the calling thread (no thread is spawned) and follows the
-/// sequential explorer's exact strategy.
+/// `options.threads` diversified workers.  With threads == 1 the single
+/// worker runs inline in the calling thread (no thread is spawned); that
+/// configuration *is* the sequential explorer — dse::explore calls it.
 [[nodiscard]] ParallelExploreResult explore_parallel(
     const synth::Specification& spec, const ParallelExploreOptions& options = {});
 

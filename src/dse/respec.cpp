@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "dse/checkpoint.hpp"
-#include "dse/explorer.hpp"
+#include "dse/parallel_explorer.hpp"
 #include "dse/warmstart.hpp"
 #include "ea/nsga2.hpp"
 #include "obs/events.hpp"
@@ -348,14 +348,7 @@ ReexploreResult reexplore(const Checkpoint& prev,
     common.sink->on_event(e);
   }
 
-  if (threads <= 1) {
-    ExploreOptions seq;
-    seq.common = common;
-    result.base = explore(new_spec, seq);
-  } else {
-    ParallelExploreResult pr = explore_parallel(new_spec, run);
-    result.base = std::move(pr.base);
-  }
+  result.base = explore_parallel(new_spec, run).base;
 
   if (common.metrics != nullptr) {
     obs::MetricsRegistry& m = *common.metrics;

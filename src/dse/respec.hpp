@@ -111,11 +111,10 @@ struct ClauseReplay {
     const ClauseReplay& replay, std::uint32_t base_vars);
 
 struct ReexploreOptions {
-  /// Explorer configuration for the incremental run.  threads <= 1 runs the
-  /// sequential explorer, anything larger the portfolio.  `base.common`'s
-  /// warm_start.external and clause_replay fields are overwritten by the
-  /// reuse machinery; everything else (certify, budgets, observability, …)
-  /// is honoured as given.
+  /// Explorer configuration for the incremental run (threads = 1 is the
+  /// sequential explorer).  `base.common`'s warm_start.external and
+  /// clause_replay fields are overwritten by the reuse machinery; everything
+  /// else (certify, budgets, observability, …) is honoured as given.
   ParallelExploreOptions base;
   /// Cap on replayed clauses (the dump is best-first already).
   std::size_t max_replay_clauses = 4096;

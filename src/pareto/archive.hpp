@@ -58,9 +58,23 @@ class Archive {
   }
 };
 
+[[noreturn]] void throw_arity_mismatch(std::size_t got, std::size_t expected);
+
+/// Throw std::invalid_argument unless `p` has exactly `dimensions`
+/// coordinates.  Every archive entry point calls it, in every build type: a
+/// short point would otherwise be read past its end.
+inline void require_arity(const Vec& p, std::size_t dimensions) {
+  if (p.size() != dimensions) [[unlikely]] {
+    throw_arity_mismatch(p.size(), dimensions);
+  }
+}
+
 /// Plain list archive with linear scans.
 class LinearArchive final : public Archive {
  public:
+  /// `dimensions` = 0 fixes the arity at the first insert.
+  explicit LinearArchive(std::size_t dimensions = 0) : dims_(dimensions) {}
+
   bool insert(const Vec& p) override;
   [[nodiscard]] const Vec* find_weak_dominator(const Vec& q) const override;
   std::size_t erase_dominated_by(const Vec& p) override;
@@ -70,6 +84,7 @@ class LinearArchive final : public Archive {
 
  private:
   std::vector<Vec> points_;
+  std::size_t dims_;
 };
 
 /// Factory used by benches/CLI: kind is "linear" or "quadtree".

@@ -30,7 +30,7 @@ std::size_t ConcurrentArchive::shard_of(const Vec& p) const noexcept {
 }
 
 bool ConcurrentArchive::insert(const Vec& p, const std::atomic<bool>* cancel) {
-  assert(p.size() == dims_);
+  require_arity(p, dims_);
   // Optimistic fast path: most candidates lose against the current front;
   // reject them with per-shard shared locks and no global serialization.
   for (const auto& s : shards_) {

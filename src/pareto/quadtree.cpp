@@ -114,7 +114,7 @@ void QuadTreeArchive::hang(std::int32_t node) {
 }
 
 bool QuadTreeArchive::insert(const Vec& p) {
-  assert(p.size() == dims_);
+  require_arity(p, dims_);
   if (dominator_in(root_, p) != nullptr) return false;
   erase_dominated_by(p);
   hang(alloc(p));
@@ -123,7 +123,7 @@ bool QuadTreeArchive::insert(const Vec& p) {
 }
 
 std::size_t QuadTreeArchive::erase_dominated_by(const Vec& p) {
-  assert(p.size() == dims_);
+  require_arity(p, dims_);
   std::vector<std::int32_t> doomed_list;
   collect_dominated(root_, p, doomed_list);
   std::erase_if(doomed_list,
@@ -139,6 +139,7 @@ std::size_t QuadTreeArchive::erase_dominated_by(const Vec& p) {
 }
 
 const Vec* QuadTreeArchive::find_weak_dominator(const Vec& q) const {
+  require_arity(q, dims_);
   return dominator_in(root_, q);
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -244,6 +246,36 @@ TEST(EraseDominatedBy, LinearArchive) { check_erase_dominated_by(LinearArchive{}
 
 TEST(EraseDominatedBy, QuadTreeArchive) {
   check_erase_dominated_by(QuadTreeArchive{3});
+}
+
+// Arity is a module-boundary contract checked in every build type: with
+// NDEBUG an assert would vanish and a short point be read past its end.
+TEST(ArchiveArity, WrongArityPointsThrowInEveryArchiveKind) {
+  const Vec short_point{1, 2};
+  for (const char* kind : {"linear", "quadtree"}) {
+    const std::unique_ptr<Archive> archive = make_archive(kind, 3);
+    EXPECT_THROW((void)archive->find_weak_dominator(short_point),
+                 std::invalid_argument) << kind;
+    EXPECT_THROW((void)archive->insert(short_point), std::invalid_argument)
+        << kind;
+    ASSERT_TRUE(archive->insert(Vec{5, 5, 5})) << kind;
+    EXPECT_THROW((void)archive->insert(Vec{1, 1, 1, 1}), std::invalid_argument)
+        << kind;
+    EXPECT_THROW((void)archive->erase_dominated_by(short_point),
+                 std::invalid_argument) << kind;
+    EXPECT_EQ(archive->points(), (std::vector<Vec>{{5, 5, 5}})) << kind;
+
+    ConcurrentArchive shared(kind, 3, 4);
+    EXPECT_THROW((void)shared.insert(short_point), std::invalid_argument)
+        << kind;
+    EXPECT_EQ(shared.size(), 0U) << kind;
+  }
+  // A linear archive built without an arity takes the first point's.
+  LinearArchive adopting;
+  ASSERT_TRUE(adopting.insert(Vec{4, 4}));
+  EXPECT_THROW((void)adopting.insert(Vec{1, 1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)adopting.find_weak_dominator(Vec{1}),
+               std::invalid_argument);
 }
 
 }  // namespace

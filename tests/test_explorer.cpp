@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/baselines.hpp"
+#include "dse/parallel_explorer.hpp"
 #include "synth_fixtures.hpp"
 #include "synth/validator.hpp"
 
@@ -114,7 +115,7 @@ TEST(Explorer, DrillDownOffSameFront) {
 TEST(Explorer, EpsilonZeroMatchesExact) {
   const synth::Specification spec = test::chain3_bus();
   ExploreOptions eps0;
-  eps0.epsilon = pareto::Vec{0, 0, 0};
+  eps0.common.epsilon = pareto::Vec{0, 0, 0};
   const ExploreResult exact = explore(spec);
   const ExploreResult approx = explore(spec, eps0);
   ASSERT_TRUE(exact.stats.complete && approx.stats.complete);
@@ -125,28 +126,57 @@ TEST(Explorer, EpsilonCoversTheExactFront) {
   const synth::Specification spec = test::chain3_bus();
   const ExploreResult exact = explore(spec);
   ASSERT_TRUE(exact.stats.complete);
-  ExploreOptions opts;
-  opts.epsilon = pareto::Vec{2, 6, 3};
-  const ExploreResult approx = explore(spec, opts);
-  ASSERT_TRUE(approx.stats.complete);
-  EXPECT_LE(approx.front.size(), exact.front.size());
-  for (const auto& q : exact.front) {
-    bool covered = false;
-    for (const auto& p : approx.front) {
-      bool le = true;
-      for (std::size_t o = 0; o < 3; ++o) {
-        if (p[o] > q[o] + opts.epsilon[o]) le = false;
+  const pareto::Vec eps{2, 6, 3};
+  // explore() is the one-worker portfolio; every worker of a wider one must
+  // honour epsilon too.  Which ε-set comes back depends on the discovery
+  // order, so only the cover is compared across thread counts.
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    ParallelExploreOptions opts;
+    opts.threads = threads;
+    opts.common.epsilon = eps;
+    const ExploreResult approx = explore_parallel(spec, opts).base;
+    ASSERT_TRUE(approx.stats.complete) << threads << " threads";
+    EXPECT_LE(approx.front.size(), exact.front.size()) << threads << " threads";
+    for (const auto& q : exact.front) {
+      bool covered = false;
+      for (const auto& p : approx.front) {
+        bool le = true;
+        for (std::size_t o = 0; o < 3; ++o) {
+          if (p[o] > q[o] + eps[o]) le = false;
+        }
+        covered = covered || le;
       }
-      covered = covered || le;
+      EXPECT_TRUE(covered) << pareto::to_string(q) << " @" << threads;
     }
-    EXPECT_TRUE(covered) << pareto::to_string(q);
+    // A slack wider than every objective range blocks everything once a
+    // worker has published one point, so no worker accepts a second model;
+    // a worker ignoring epsilon would have to find every front point.
+    opts.common.epsilon = pareto::Vec{1000000, 1000000, 1000000};
+    const ExploreResult coarse = explore_parallel(spec, opts).base;
+    ASSERT_TRUE(coarse.stats.complete) << threads << " threads";
+    EXPECT_LE(coarse.stats.models, threads) << threads << " threads";
+  }
+}
+
+TEST(Explorer, EpsilonOfTheWrongArityIsRefused) {
+  const synth::Specification spec = test::chain3_bus();
+  for (const pareto::Vec& eps : {pareto::Vec{5}, pareto::Vec{1, 2, 3, 4}}) {
+    ExploreOptions opts;
+    opts.common.epsilon = eps;
+    const ExploreResult r = explore(spec, opts);
+    EXPECT_FALSE(r.stats.complete);
+    EXPECT_TRUE(r.front.empty());
+    EXPECT_EQ(r.stats.models, 0U);
+    ASSERT_EQ(r.errors.size(), 1U);
+    EXPECT_NE(r.errors.front().find("epsilon"), std::string::npos)
+        << r.errors.front();
   }
 }
 
 TEST(Explorer, HugeEpsilonReturnsSinglePoint) {
   const synth::Specification spec = test::chain3_bus();
   ExploreOptions opts;
-  opts.epsilon = pareto::Vec{1000000, 1000000, 1000000};
+  opts.common.epsilon = pareto::Vec{1000000, 1000000, 1000000};
   const ExploreResult r = explore(spec, opts);
   ASSERT_TRUE(r.stats.complete);
   // With drill-down the single survivor is still a true Pareto point.

@@ -243,28 +243,5 @@ TEST(ObjectiveManagerBounds, ResidualCombinatorBoundsRequireThePropagator) {
   EXPECT_THROW(m.add_bound(1, 5), std::logic_error);
 }
 
-// ---- deprecated registration shims ------------------------------------------
-
-TEST(ObjectiveManagerShims, DeprecatedCallsWarnOnStderrAndDelegate) {
-  Fixture f;
-  const auto node = f.difference.new_node("mk");
-  ObjectiveManager m;
-  ::testing::internal::CaptureStderr();
-  m.add_makespan("latency", &f.difference, node);
-  m.add_linear("energy", &f.linear, f.s0);
-  m.add_floor(&f.linear, f.s1);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("add_makespan is deprecated"), std::string::npos) << err;
-  EXPECT_NE(err.find("add_linear is deprecated"), std::string::npos) << err;
-  EXPECT_NE(err.find("add_floor is deprecated"), std::string::npos) << err;
-  // The shims land in the same axes the first-class API would produce.
-  ASSERT_EQ(m.count(), 2U);
-  EXPECT_EQ(m.source(0).kind, ObjectiveManager::Source::Kind::Difference);
-  EXPECT_EQ(m.source(1).kind, ObjectiveManager::Source::Kind::Linear);
-  std::string body;
-  m.term(1).serialize(body);
-  EXPECT_EQ(body, "L 0");
-}
-
 }  // namespace
 }  // namespace aspmt::dse

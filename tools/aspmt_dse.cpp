@@ -153,7 +153,7 @@ int usage() {
       "                'minmax(latency,cost);worst(energy,energy@throttle)'\n"
       "  aspmt_dse explore  spec.txt [--time-limit SEC] [--archive KIND]\n"
       "            [--no-partial-eval] [--epsilon L,E,C] [--witnesses]\n"
-      "            [--threads N] [--seed S]   (N>0: parallel portfolio)\n"
+      "            [--threads N] [--seed S]   (N>1: parallel portfolio)\n"
       "            [--certify] [--proof-out FILE] [--front-out FILE]\n"
       "            [--conflict-budget N] [--mem-limit-mb MB]\n"
       "            [--checkpoint-out FILE] [--checkpoint-interval SEC]\n"
@@ -503,6 +503,9 @@ int explore_incremental(const synth::Specification& spec, const Args& args) {
   return rc != 0 ? rc : obs_rc;
 }
 
+/// Single-process exploration: the portfolio at --threads N (default 1,
+/// the sequential explorer).  The per-worker breakdown is printed when
+/// --threads was given.
 int explore_portfolio(const synth::Specification& spec, const Args& args) {
   dse::ParallelExploreOptions opts;
   opts.threads = static_cast<std::size_t>(args.num("threads", 1));
@@ -510,6 +513,15 @@ int explore_portfolio(const synth::Specification& spec, const Args& args) {
   opts.common.archive_kind = args.get("archive", "quadtree");
   opts.common.partial_evaluation = !args.flag("no-partial-eval");
   opts.seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  if (const auto eps = parse_epsilon(args.get("epsilon", ""))) {
+    if (eps->size() != spec.axis_count()) {
+      std::cerr << "--epsilon has " << eps->size()
+                << " values but the specification has " << spec.axis_count()
+                << " Pareto axes\n";
+      return 2;
+    }
+    opts.common.epsilon = *eps;
+  }
   opts.common.certify = args.flag("certify");
   if (!apply_warm_start(args, opts.common.warm_start)) return 2;
   dse::Budget budget(budget_limits(args));
@@ -524,35 +536,35 @@ int explore_portfolio(const synth::Specification& spec, const Args& args) {
   obs_setup.wire(opts.common);
   const SignalGuard guard(&budget);
   const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
-  std::cout << "exact front: " << r.base.front.size() << " points ("
+  std::cout << (opts.common.epsilon.empty() ? "exact front"
+                                            : "eps-approximate set")
+            << ": " << r.base.front.size() << " points ("
             << (r.base.stats.complete ? "complete" : "partial")
             << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
-            << util::fmt(r.base.stats.seconds, 3) << "s, " << r.workers.size()
-            << " workers, " << r.base.stats.models << " models, "
-            << r.base.stats.prunings << " prunings)\n";
+            << util::fmt(r.base.stats.seconds, 3) << "s, "
+            << r.base.stats.models << " models, " << r.base.stats.prunings
+            << " prunings)\n";
   print_warm_stats(r.base.stats);
-  for (const dse::WorkerError& e : r.worker_errors) {
-    std::cerr << "warning: worker " << e.worker << " failed: " << e.message
-              << "\n";
-  }
   print_run_errors(r.base.errors);
   print_front(spec, r.base.front);
-  std::cout << "\nper-worker breakdown:\n";
-  util::Table workers({"worker", "models", "slice", "inserts", "rejected",
-                       "prunings", "conflicts", "restarts", "sec", "proof"});
-  for (const dse::WorkerReport& w : r.workers) {
-    workers.add_row({util::fmt(static_cast<long long>(w.worker)),
-                     util::fmt(static_cast<long long>(w.models)),
-                     util::fmt(static_cast<long long>(w.slice_models)),
-                     util::fmt(static_cast<long long>(w.shared_inserts)),
-                     util::fmt(static_cast<long long>(w.rejected_inserts)),
-                     util::fmt(static_cast<long long>(w.prunings)),
-                     util::fmt(static_cast<long long>(w.conflicts)),
-                     util::fmt(static_cast<long long>(w.restarts)),
-                     util::fmt(w.seconds, 3),
-                     w.proved_complete ? "yes" : "-"});
+  if (args.flag("threads")) {
+    std::cout << "\nper-worker breakdown:\n";
+    util::Table workers({"worker", "models", "slice", "inserts", "rejected",
+                         "prunings", "conflicts", "restarts", "sec", "proof"});
+    for (const dse::WorkerReport& w : r.workers) {
+      workers.add_row({util::fmt(static_cast<long long>(w.worker)),
+                       util::fmt(static_cast<long long>(w.models)),
+                       util::fmt(static_cast<long long>(w.slice_models)),
+                       util::fmt(static_cast<long long>(w.shared_inserts)),
+                       util::fmt(static_cast<long long>(w.rejected_inserts)),
+                       util::fmt(static_cast<long long>(w.prunings)),
+                       util::fmt(static_cast<long long>(w.conflicts)),
+                       util::fmt(static_cast<long long>(w.restarts)),
+                       util::fmt(w.seconds, 3),
+                       w.proved_complete ? "yes" : "-"});
+    }
+    workers.print(std::cout);
   }
-  workers.print(std::cout);
   if (args.flag("witnesses")) {
     for (const auto& witness : r.base.witnesses) {
       std::cout << "\n" << witness.describe(spec);
@@ -774,46 +786,7 @@ int cmd_explore(const Args& args) {
   if (args.flag("shard-workers") || args.flag("shards")) {
     return explore_sharded(spec, args);
   }
-  if (args.flag("threads")) return explore_portfolio(spec, args);
-  dse::ExploreOptions opts;
-  opts.common.time_limit_seconds = args.num("time-limit", 0.0);
-  opts.common.archive_kind = args.get("archive", "quadtree");
-  opts.common.partial_evaluation = !args.flag("no-partial-eval");
-  if (const auto eps = parse_epsilon(args.get("epsilon", ""))) {
-    opts.epsilon = *eps;
-  }
-  opts.common.certify = args.flag("certify");
-  if (!apply_warm_start(args, opts.common.warm_start)) return 2;
-  dse::Budget budget(budget_limits(args));
-  opts.common.budget = &budget;
-  opts.common.checkpoint_path = args.get("checkpoint-out", "");
-  opts.common.checkpoint_interval_seconds =
-      args.num("checkpoint-interval", 30.0);
-  const std::optional<dse::Checkpoint> resume = load_resume(args);
-  if (resume) opts.common.resume = &*resume;
-  ObsSetup obs_setup;
-  if (!obs_setup.init(args)) return 1;
-  obs_setup.wire(opts.common);
-  const SignalGuard guard(&budget);
-  const dse::ExploreResult r = dse::explore(spec, opts);
-  std::cout << (opts.epsilon.empty() ? "exact front" : "eps-approximate set")
-            << ": " << r.front.size() << " points ("
-            << (r.stats.complete ? "complete" : "partial") << ", stopped: "
-            << dse::to_string(r.stats.reason) << ", "
-            << util::fmt(r.stats.seconds, 3) << "s, " << r.stats.models
-            << " models, " << r.stats.prunings << " prunings)\n";
-  print_warm_stats(r.stats);
-  print_run_errors(r.errors);
-  print_front(spec, r.front);
-  if (args.flag("witnesses")) {
-    for (std::size_t i = 0; i < r.witnesses.size(); ++i) {
-      std::cout << "\n" << r.witnesses[i].describe(spec);
-    }
-  }
-  const int obs_rc = obs_setup.finish();
-  const int rc = finish_explore(args, r.stats.complete, r.certified,
-                                r.certificate_error, r.proof, r.front);
-  return rc != 0 ? rc : obs_rc;
+  return explore_portfolio(spec, args);
 }
 
 int cmd_optimize(const Args& args) {
