@@ -56,6 +56,28 @@ std::string_view take_token(std::string_view& rest) {
   return tok;
 }
 
+/// Every discovery and every front point must carry one value per Pareto
+/// axis of `spec`.  Returns an empty string when they do.
+std::string arity_error(
+    const synth::Specification& spec,
+    std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
+    std::span<const pareto::Vec> front) {
+  const std::size_t axes = spec.axis_count();
+  auto check = [&](const pareto::Vec& p, const char* what) -> std::string {
+    if (p.size() == axes) return {};
+    return std::string("arity mismatch: ") + what + " " + pareto::to_string(p) +
+           " has " + std::to_string(p.size()) + " objectives, the spec has " +
+           std::to_string(axes) + " axes";
+  };
+  for (const auto& [point, impl] : discoveries) {
+    if (std::string why = check(point, "discovery"); !why.empty()) return why;
+  }
+  for (const pareto::Vec& p : front) {
+    if (std::string why = check(p, "front point"); !why.empty()) return why;
+  }
+  return {};
+}
+
 }  // namespace
 
 CertifyResult certify_front(
@@ -63,6 +85,8 @@ CertifyResult certify_front(
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
     std::span<const pareto::Vec> front, std::string_view proof) {
   CertifyResult result;
+  result.error = arity_error(spec, discoveries, front);
+  if (!result.error.empty()) return result;
 
   // 1. Every discovery needs an independently validated witness whose
   //    recomputed objectives equal the recorded vector.
@@ -121,6 +145,8 @@ MergedCertifyResult certify_merged(
     result.error = "no shard proofs to merge";
     return result;
   }
+  result.error = arity_error(spec, discoveries, front);
+  if (!result.error.empty()) return result;
 
   // 1. The union of all shards' discoveries must validate; only validated
   //    points are admissible dominance sources in *any* shard's stream.

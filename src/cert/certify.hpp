@@ -43,6 +43,8 @@ struct CertifyResult {
 /// Certify one exploration run.  `discoveries` must pair every objective
 /// vector the run ever inserted into its archive with the witness
 /// implementation captured for it; `front` is the reported final front.
+/// A discovery or front point whose length is not `spec.axis_count()` is
+/// refused with an "arity mismatch" error in every build type.
 [[nodiscard]] CertifyResult certify_front(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
@@ -103,7 +105,7 @@ struct MergedCertifyResult {
 /// Certify a distributed run.  `discoveries` is the union of every shard's
 /// discoveries (each with its witness), `front` the merged front,
 /// `shard_objective` the banded objective's index in the spec's objective
-/// order.
+/// order.  Point arity is checked as in certify_front.
 [[nodiscard]] MergedCertifyResult certify_merged(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,

@@ -3,18 +3,43 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 
 namespace aspmt::cert {
 namespace {
 
 using Lits = std::vector<std::int64_t>;
+/// A literal as the clause database stores it.  The range contract below
+/// makes every literal of an accepted step fit.
+using Lit = std::int32_t;
+
+/// Largest variable a proof may mention: the solver's `Var` is 32-bit.
+constexpr std::int64_t kMaxVar = std::numeric_limits<Lit>::max();
+constexpr const char* kOutOfRange = "literal out of range (|lit| > 2^31-1)";
+
+[[nodiscard]] constexpr bool in_range(std::int64_t l) noexcept {
+  return l >= -kMaxVar && l <= kMaxVar;
+}
+
+/// Slot of a nonzero literal in per-literal arrays: 2(v-1) for v, one more
+/// for -v.
+[[nodiscard]] std::size_t lit_index(std::int64_t l) noexcept {
+  return 2 * static_cast<std::size_t>(std::abs(l) - 1) + (l < 0 ? 1 : 0);
+}
+
+using Clock = std::chrono::steady_clock;
+
+[[nodiscard]] double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
 // Sort by variable, negative phase first — makes duplicates and
-// complementary pairs adjacent and gives a canonical deletion key.
+// complementary pairs adjacent.
 struct LitLess {
   bool operator()(std::int64_t a, std::int64_t b) const noexcept {
     const std::int64_t va = std::abs(a);
@@ -57,6 +82,12 @@ class Line {
     return res.ec == std::errc{} && res.ptr == w.data() + w.size();
   }
 
+  /// An item count: a non-negative integer no larger than the rest of the
+  /// line could hold, so sizing a container by it cannot exhaust memory.
+  bool count(std::int64_t& out) {
+    return integer(out) && out >= 0 && out <= end_ - p_;
+  }
+
  private:
   const char* p_;
   const char* end_;
@@ -86,6 +117,72 @@ struct ObjTree {
   std::vector<ObjTree> children;
 };
 
+/// A set of literals kept as per-literal epoch stamps: a literal is a member
+/// iff its stamp equals the current epoch, so `clear` is O(1) and nothing is
+/// allocated once the stamps cover every variable.
+class LitSet {
+ public:
+  void reserve_var(std::size_t v) {
+    if (stamp_.size() < 2 * v) stamp_.resize(2 * v, 0);
+  }
+
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: an old stamp could equal the new epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  /// `l` must be nonzero, in range, and of a reserved variable.
+  void insert(std::int64_t l) { stamp_[lit_index(l)] = epoch_; }
+
+  [[nodiscard]] bool contains(std::int64_t l) const noexcept {
+    if (l == 0 || !in_range(l)) return false;
+    const std::size_t i = lit_index(l);
+    return i < stamp_.size() && stamp_[i] == epoch_;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 1;  // stamps start at 0: the set starts empty
+};
+
+/// A watchable clause: its literals live in the checker's arena, the two
+/// watched ones first.
+struct Clause {
+  std::size_t begin = 0;  // offset into the arena
+  std::uint32_t size = 0;
+  std::uint32_t hash = 0;  // order-independent hash of the literal set
+  std::uint32_t next = 0;  // next clause in the same deletion-index bucket
+  bool active = true;      // false once a `D` step removed it
+};
+
+/// An entry of a literal's watch list.  `blocker` is another literal of the
+/// clause: while it is true the clause is satisfied, and propagation skips
+/// it without reading the clause.
+struct Watch {
+  std::uint32_t clause = 0;
+  Lit blocker = 0;
+};
+
+constexpr std::uint32_t kNoClause = std::numeric_limits<std::uint32_t>::max();
+
+/// murmur3's 32-bit finalizer.
+[[nodiscard]] std::uint32_t mix(std::uint32_t x) noexcept {
+  x ^= x >> 16;
+  x *= 0x85ebca6bU;
+  x ^= x >> 13;
+  x *= 0xc2b2ae35U;
+  return x ^ (x >> 16);
+}
+
+/// Hash of a literal set, independent of the literals' order.
+[[nodiscard]] std::uint32_t set_hash(const Lits& lits) noexcept {
+  std::uint32_t h = 0;
+  for (const std::int64_t l : lits) h += mix(static_cast<std::uint32_t>(l));
+  return h;
+}
+
 /// The whole verification state: clause database with watched-literal unit
 /// propagation plus the declared theory tables.
 class Checker {
@@ -97,14 +194,15 @@ class Checker {
  private:
   // ---- unit propagation ---------------------------------------------------
 
-  [[nodiscard]] static std::size_t lit_index(std::int64_t l) noexcept {
-    return 2 * static_cast<std::size_t>(std::abs(l) - 1) + (l < 0 ? 1 : 0);
-  }
-
+  /// Grow the per-variable and per-literal arrays to cover `l`'s variable.
   void ensure_var(std::int64_t l) {
     const auto v = static_cast<std::size_t>(std::abs(l));
-    if (assign_.size() < v + 1) assign_.resize(v + 1, 0);
+    if (assign_.size() > v) return;
+    assign_.resize(v + 1, 0);
+    var_flags_.resize(v + 1, 0);
     if (watch_.size() < 2 * v) watch_.resize(2 * v);
+    clause_set_.reserve_var(v);
+    unfounded_.reserve_var(v);
   }
 
   [[nodiscard]] int value(std::int64_t l) const noexcept {
@@ -115,7 +213,7 @@ class Checker {
   void assign(std::int64_t l) {
     assign_[static_cast<std::size_t>(std::abs(l))] =
         static_cast<std::int8_t>(l < 0 ? -1 : 1);
-    trail_.push_back(l);
+    trail_.push_back(static_cast<Lit>(l));
   }
 
   /// False iff `l` is already false.
@@ -129,29 +227,35 @@ class Checker {
 
   bool propagate() {
     while (qhead_ < trail_.size()) {
-      const std::int64_t p = trail_[qhead_++];
-      auto& wl = watch_[lit_index(-p)];
+      const Lit false_lit = -trail_[qhead_++];
+      std::vector<Watch>& wl = watch_[lit_index(false_lit)];
       std::size_t out = 0;
       for (std::size_t i = 0; i < wl.size(); ++i) {
-        const std::uint32_t ci = wl[i];
-        if (!active_[ci]) continue;  // deleted: lazily drop from the list
-        Lits& ls = clause_lits_[ci];
-        if (ls[0] == -p) std::swap(ls[0], ls[1]);
-        if (value(ls[0]) == 1) {
-          wl[out++] = ci;
+        const Watch w = wl[i];
+        if (value(w.blocker) == 1) {
+          wl[out++] = w;
+          continue;
+        }
+        Clause& c = clauses_[w.clause];
+        if (!c.active) continue;  // deleted: lazily drop from the list
+        Lit* ls = arena_.data() + c.begin;
+        if (ls[0] == false_lit) std::swap(ls[0], ls[1]);
+        const Watch kept{w.clause, ls[0]};
+        if (ls[0] != w.blocker && value(ls[0]) == 1) {
+          wl[out++] = kept;
           continue;
         }
         bool moved = false;
-        for (std::size_t k = 2; k < ls.size(); ++k) {
+        for (std::uint32_t k = 2; k < c.size; ++k) {
           if (value(ls[k]) != -1) {
             std::swap(ls[1], ls[k]);
-            watch_[lit_index(ls[1])].push_back(ci);
+            watch_[lit_index(ls[1])].push_back(kept);
             moved = true;
             break;
           }
         }
         if (moved) continue;
-        wl[out++] = ci;  // clause stays unit/conflicting on ls[0]
+        wl[out++] = kept;  // clause stays unit/conflicting on ls[0]
         if (value(ls[0]) == -1) {
           for (++i; i < wl.size(); ++i) wl[out++] = wl[i];
           wl.resize(out);
@@ -164,7 +268,10 @@ class Checker {
     return true;
   }
 
+  /// Undo every assignment above trail position `save`, crediting them to
+  /// the propagation count.
   void undo_to(std::size_t save) {
+    result_.propagations += trail_.size() - save;
     while (trail_.size() > save) {
       assign_[static_cast<std::size_t>(std::abs(trail_.back()))] = 0;
       trail_.pop_back();
@@ -180,7 +287,6 @@ class Checker {
     bool conflict = false;
     bool satisfied = false;
     for (const std::int64_t l : clause) {
-      ensure_var(l);
       const int v = value(l);
       if (v == 1) {  // root unit (or a complementary clause literal)
         satisfied = true;
@@ -200,7 +306,6 @@ class Checker {
     const std::size_t save = trail_.size();
     bool conflict = false;
     for (const std::int64_t a : assumptions) {
-      ensure_var(a);
       if (!enqueue(a)) {
         conflict = true;
         break;
@@ -212,83 +317,140 @@ class Checker {
   }
 
   /// Add a verified/axiomatic clause to the database and restore the root
-  /// fixpoint.  `lits` must be canonical.
-  void install(Lits lits) {
+  /// fixpoint.  `lits` must be canonical.  A clause that is unit or false
+  /// under the root assignment acts once, as a root fact, and is not stored.
+  void install(const Lits& lits) {
     if (root_conflict_ || is_tautology(lits)) return;
-    for (const std::int64_t l : lits) ensure_var(l);
     if (lits.empty()) {
       root_conflict_ = true;
       return;
     }
-    const std::uint32_t id = static_cast<std::uint32_t>(clause_lits_.size());
-    by_lits_[lits].push_back(id);
+    const std::size_t begin = arena_.size();
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
+    Lit* ls = arena_.data() + begin;
     // Pick two non-false watches; fewer mean the clause is unit or false
     // under the root assignment right away.
     std::size_t nonfalse = 0;
     for (std::size_t i = 0; i < lits.size() && nonfalse < 2; ++i) {
-      if (value(lits[i]) != -1) std::swap(lits[nonfalse++], lits[i]);
+      if (value(ls[i]) != -1) std::swap(ls[nonfalse++], ls[i]);
     }
-    const bool watchable = nonfalse >= 2;
-    if (!watchable) {
-      if (nonfalse == 0) {
-        root_conflict_ = true;
-      } else if (!enqueue(lits[0]) || !propagate()) {
-        root_conflict_ = true;
+    if (nonfalse < 2) {
+      const Lit unit = ls[0];
+      arena_.resize(begin);
+      if (nonfalse == 0 || !enqueue(unit) || !propagate()) root_conflict_ = true;
+      return;
+    }
+    const auto id = static_cast<std::uint32_t>(clauses_.size());
+    Clause c;
+    c.begin = begin;
+    c.size = static_cast<std::uint32_t>(lits.size());
+    c.hash = set_hash(lits);
+    clauses_.push_back(c);
+    watch_[lit_index(ls[0])].push_back({id, ls[1]});
+    watch_[lit_index(ls[1])].push_back({id, ls[0]});
+    index_clause(id);
+  }
+
+  // ---- deletion index -----------------------------------------------------
+  // The active clauses, chained by set hash.  A `D` step finds its clause by
+  // comparing against the arena, so no clause is stored twice.
+
+  void link(std::uint32_t id) {
+    Clause& c = clauses_[id];
+    std::uint32_t& head = buckets_[c.hash & (buckets_.size() - 1)];
+    c.next = head;
+    head = id;
+  }
+
+  void index_clause(std::uint32_t id) {
+    if (++indexed_ <= buckets_.size()) {
+      link(id);
+      return;
+    }
+    buckets_.assign(std::max<std::size_t>(1024, 2 * buckets_.size()), kNoClause);
+    for (std::uint32_t i = 0; i < clauses_.size(); ++i) {
+      if (clauses_[i].active) link(i);
+    }
+  }
+
+  /// Deactivate one active clause whose literal set is `lits` (canonical).
+  /// The solver stores theory clauses root-simplified, so some deletions
+  /// have no exact match here; keeping those clauses only strengthens
+  /// propagation over valid clauses, which stays sound.
+  void remove(const Lits& lits) {
+    if (buckets_.empty()) return;
+    const std::uint32_t h = set_hash(lits);
+    bool marked = false;
+    for (std::uint32_t* at = &buckets_[h & (buckets_.size() - 1)];
+         *at != kNoClause; at = &clauses_[*at].next) {
+      Clause& c = clauses_[*at];
+      if (c.hash != h || c.size != lits.size()) continue;
+      if (!marked) {
+        mark_clause(lits);
+        marked = true;
       }
-    }
-    clause_lits_.push_back(std::move(lits));
-    active_.push_back(watchable);  // unit/false clauses live on as root facts
-    if (watchable) {
-      watch_[lit_index(clause_lits_[id][0])].push_back(id);
-      watch_[lit_index(clause_lits_[id][1])].push_back(id);
+      const Lit* ls = arena_.data() + c.begin;
+      // Both sides are duplicate-free and equally long: subset means equal.
+      if (std::all_of(ls, ls + c.size,
+                      [&](Lit l) { return clause_set_.contains(l); })) {
+        c.active = false;
+        *at = c.next;
+        --indexed_;
+        return;
+      }
     }
   }
 
   // ---- theory re-derivation ----------------------------------------------
 
-  /// Longest origin distances over the edges whose guards are all in `G`
-  /// (nodes are implicitly >= 0).  Bellman-Ford; `cycle` reports a positive
-  /// cycle (distances divergent, any bound claim holds vacuously).
-  void longest_paths(const std::set<std::int64_t>& G, std::vector<std::int64_t>& dist,
-                     bool& cycle) const {
-    dist.assign(static_cast<std::size_t>(num_nodes_), 0);
-    cycle = false;
-    std::vector<const Edge*> live;
+  /// Make clause_set_ hold exactly `clause`.
+  void mark_clause(const Lits& clause) {
+    clause_set_.clear();
+    for (const std::int64_t l : clause) clause_set_.insert(l);
+  }
+
+  /// Longest origin distances, into dist_, over the edges whose guards the
+  /// marked clause all negates (nodes are implicitly >= 0).  Bellman-Ford;
+  /// returns whether a positive cycle remains (distances divergent, any
+  /// bound claim holds vacuously).
+  [[nodiscard]] bool longest_paths() {
+    dist_.assign(static_cast<std::size_t>(num_nodes_), 0);
+    live_.clear();
     for (const Edge& e : edges_) {
-      const bool on = std::all_of(e.guards.begin(), e.guards.end(),
-                                  [&](std::int64_t g) { return G.count(g) != 0; });
-      if (on) live.push_back(&e);
+      const bool on =
+          std::all_of(e.guards.begin(), e.guards.end(),
+                      [&](std::int64_t g) { return clause_set_.contains(-g); });
+      if (on) live_.push_back(&e);
     }
     bool changed = true;
     for (std::int64_t round = 0; round <= num_nodes_ && changed; ++round) {
       changed = false;
-      for (const Edge* e : live) {
-        const std::int64_t nd = dist[static_cast<std::size_t>(e->from)] + e->weight;
-        if (nd > dist[static_cast<std::size_t>(e->to)]) {
-          dist[static_cast<std::size_t>(e->to)] = nd;
+      for (const Edge* e : live_) {
+        const std::int64_t nd = dist_[static_cast<std::size_t>(e->from)] + e->weight;
+        if (nd > dist_[static_cast<std::size_t>(e->to)]) {
+          dist_[static_cast<std::size_t>(e->to)] = nd;
           changed = true;
         }
       }
     }
-    cycle = changed;  // still relaxing after |V| rounds
+    return changed;  // still relaxing after |V| rounds
   }
 
-  [[nodiscard]] std::int64_t clause_weight_in_sum(
-      std::size_t sum, const std::set<std::int64_t>& clause_set) const {
+  /// Weight of the guards the marked clause negates.
+  [[nodiscard]] std::int64_t clause_weight_in_sum(std::size_t sum) const {
     std::int64_t total = 0;
     for (const auto& [guard, weight] : sums_[sum]) {
-      if (clause_set.count(-guard) != 0) total += weight;
+      if (clause_set_.contains(-guard)) total += weight;
     }
     return total;
   }
 
-  /// Weight forfeited when every guard occurring *positively* in the clause
-  /// is assumed false (the LL lemma shape: at least one of them must hold).
-  [[nodiscard]] std::int64_t clause_weight_forfeited(
-      std::size_t sum, const std::set<std::int64_t>& clause_set) const {
+  /// Weight forfeited when every guard occurring *positively* in the marked
+  /// clause is assumed false (the LL lemma shape: at least one must hold).
+  [[nodiscard]] std::int64_t clause_weight_forfeited(std::size_t sum) const {
     std::int64_t total = 0;
     for (const auto& [guard, weight] : sums_[sum]) {
-      if (clause_set.count(guard) != 0) total += weight;
+      if (clause_set_.contains(guard)) total += weight;
     }
     return total;
   }
@@ -299,7 +461,7 @@ class Checker {
     return total;
   }
 
-  [[nodiscard]] bool some_feasible_leq(const std::vector<std::int64_t>& p) const {
+  [[nodiscard]] bool some_feasible_leq(std::span<const std::int64_t> p) const {
     const auto& sources =
         opts_.trust_feasible_steps ? feasible_ : opts_.feasible_points;
     for (const auto& q : sources) {
@@ -312,30 +474,25 @@ class Checker {
   }
 
   /// Re-derive a lower bound of an objective tree under the assumption that
-  /// every literal of the (negated) clause holds: leaf bounds come from the
+  /// every literal of the (negated) marked clause holds: leaf bounds come from the
   /// declared sum/edge tables exactly as in the LS/DB lemmas, combinators
   /// fold them monotonically (max for minmax/worst, weighted sum, clamped
   /// big-endian packing for lex — the same arithmetic the solver binds).  A
   /// positive cycle in a difference leaf makes its bound vacuously infinite.
   /// Returns an empty string and writes `out` on success.
-  [[nodiscard]] std::string tree_lower_bound(
-      const ObjTree& t, const std::set<std::int64_t>& G,
-      const std::set<std::int64_t>& clause_set, std::int64_t& out) const {
+  [[nodiscard]] std::string tree_lower_bound(const ObjTree& t, std::int64_t& out) {
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
     switch (t.kind) {
       case 'L': {
         if (t.id < 0 || static_cast<std::size_t>(t.id) >= sums_.size()) {
           return "unknown sum";
         }
-        out = clause_weight_in_sum(static_cast<std::size_t>(t.id), clause_set);
+        out = clause_weight_in_sum(static_cast<std::size_t>(t.id));
         return {};
       }
       case 'D': {
         if (t.id < 0 || t.id >= num_nodes_) return "unknown node";
-        std::vector<std::int64_t> dist;
-        bool cycle = false;
-        longest_paths(G, dist, cycle);
-        out = cycle ? kMax : dist[static_cast<std::size_t>(t.id)];
+        out = longest_paths() ? kMax : dist_[static_cast<std::size_t>(t.id)];
         return {};
       }
       case 'M':
@@ -343,7 +500,7 @@ class Checker {
         std::int64_t best = std::numeric_limits<std::int64_t>::min();
         for (const ObjTree& c : t.children) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(c, G, clause_set, v);
+          const std::string why = tree_lower_bound(c, v);
           if (!why.empty()) return why;
           best = std::max(best, v);
         }
@@ -354,7 +511,7 @@ class Checker {
         __int128 acc = 0;
         for (std::size_t i = 0; i < t.children.size(); ++i) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(t.children[i], G, clause_set, v);
+          const std::string why = tree_lower_bound(t.children[i], v);
           if (!why.empty()) return why;
           acc += static_cast<__int128>(t.params[i]) * v;
         }
@@ -367,7 +524,7 @@ class Checker {
         __int128 acc = 0;
         for (std::size_t i = 0; i < t.children.size(); ++i) {
           std::int64_t v = 0;
-          const std::string why = tree_lower_bound(t.children[i], G, clause_set, v);
+          const std::string why = tree_lower_bound(t.children[i], v);
           if (!why.empty()) return why;
           const std::int64_t cap = t.params[i];
           acc = acc * (static_cast<__int128>(cap) + 1) +
@@ -383,19 +540,14 @@ class Checker {
 
   /// Verify one theory lemma against the declared tables.  Returns an empty
   /// string on success, the reason otherwise.
+  /// The negations of the clause's literals are what it claims cannot all
+  /// hold together; clause_set_ serves both views (g negated iff -g marked).
   [[nodiscard]] std::string verify_lemma(std::string_view tag,
                                          const std::vector<std::int64_t>& payload,
                                          const Lits& clause) {
-    std::set<std::int64_t> clause_set(clause.begin(), clause.end());
-    // G: literals the clause claims cannot all hold together.
-    std::set<std::int64_t> G;
-    for (const std::int64_t l : clause) G.insert(-l);
-
+    mark_clause(clause);
     if (tag == "DC") {
-      std::vector<std::int64_t> dist;
-      bool cycle = false;
-      longest_paths(G, dist, cycle);
-      if (!cycle) return "no positive cycle under the clause guards";
+      if (!longest_paths()) return "no positive cycle under the clause guards";
       return {};
     }
     if (tag == "DB") {
@@ -407,13 +559,10 @@ class Checker {
       if (node_bounds_.count({node, bound, act}) == 0) {
         return "node bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_set_.contains(-act)) {
         return "clause misses the bound's activation negation";
       }
-      std::vector<std::int64_t> dist;
-      bool cycle = false;
-      longest_paths(G, dist, cycle);
-      if (!cycle && dist[static_cast<std::size_t>(node)] <= bound) {
+      if (!longest_paths() && dist_[static_cast<std::size_t>(node)] <= bound) {
         return "guarded longest path does not exceed the bound";
       }
       return {};
@@ -429,10 +578,10 @@ class Checker {
       if (sum_bounds_.count({sum, bound, act}) == 0) {
         return "sum bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_set_.contains(-act)) {
         return "clause misses the bound's activation negation";
       }
-      if (clause_weight_in_sum(static_cast<std::size_t>(sum), clause_set) <= bound) {
+      if (clause_weight_in_sum(static_cast<std::size_t>(sum)) <= bound) {
         return "negated guards do not exceed the bound";
       }
       return {};
@@ -448,34 +597,38 @@ class Checker {
       if (sum_lower_bounds_.count({sum, bound, act}) == 0) {
         return "sum floor was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_set_.contains(-act)) {
         return "clause misses the floor's activation negation";
       }
       // With every positive clause guard false the sum tops out at
       // total - forfeited; the lemma holds iff that misses the floor.
       const std::size_t s = static_cast<std::size_t>(sum);
-      if (sum_total(s) - clause_weight_forfeited(s, clause_set) >= bound) {
+      if (sum_total(s) - clause_weight_forfeited(s) >= bound) {
         return "remaining weight still reaches the floor";
       }
       return {};
     }
     if (tag == "UF") {
       if (payload.empty()) return "UF payload must list the unfounded set";
-      std::set<std::int64_t> unfounded(payload.begin(), payload.end());
-      bool negated_member = false;
-      for (const std::int64_t u : unfounded) {
-        if (clause_set.count(-u) != 0) {
-          negated_member = true;
-          break;
+      const bool negated_member =
+          std::any_of(payload.begin(), payload.end(),
+                      [&](std::int64_t u) { return clause_set_.contains(-u); });
+      if (!negated_member) return "clause negates no unfounded atom";
+      // An atom beyond the per-variable arrays is no declared rule head, so
+      // leaving it out of the set changes no lookup below.
+      unfounded_.clear();
+      for (const std::int64_t u : payload) {
+        if (u != 0 && in_range(u) &&
+            static_cast<std::size_t>(std::abs(u)) < assign_.size()) {
+          unfounded_.insert(u);
         }
       }
-      if (!negated_member) return "clause negates no unfounded atom";
       for (const Rule& r : rules_) {
-        if (unfounded.count(r.head) == 0) continue;
+        if (!unfounded_.contains(r.head)) continue;
         const bool external =
             std::none_of(r.pos_heads.begin(), r.pos_heads.end(),
-                         [&](std::int64_t h) { return unfounded.count(h) != 0; });
-        if (external && clause_set.count(r.body) == 0) {
+                         [&](std::int64_t h) { return unfounded_.contains(h); });
+        if (external && !clause_set_.contains(r.body)) {
           return "clause misses an external support body";
         }
       }
@@ -486,7 +639,8 @@ class Checker {
           payload[0] != static_cast<std::int64_t>(payload.size()) - 1) {
         return "DOM payload must be k followed by k thresholds";
       }
-      const std::vector<std::int64_t> point(payload.begin() + 1, payload.end());
+      const std::span<const std::int64_t> point(payload.data() + 1,
+                                                payload.size() - 1);
       if (!some_feasible_leq(point)) {
         return "no certified feasible point at or below the thresholds";
       }
@@ -496,8 +650,7 @@ class Checker {
           return "objective binding was never declared";
         }
         std::int64_t lb = 0;
-        const std::string why =
-            tree_lower_bound(objectives_[i], G, clause_set, lb);
+        const std::string why = tree_lower_bound(objectives_[i], lb);
         if (!why.empty()) return why;
         if (lb < point[i]) {
           return "negated guards do not reach the dominance threshold";
@@ -517,12 +670,12 @@ class Checker {
       if (comb_bounds_.count({obj, bound, act}) == 0) {
         return "combinator bound was never declared";
       }
-      if (act != 0 && clause_set.count(-act) == 0) {
+      if (act != 0 && !clause_set_.contains(-act)) {
         return "clause misses the bound's activation negation";
       }
       std::int64_t lb = 0;
-      const std::string why = tree_lower_bound(
-          objectives_[static_cast<std::size_t>(obj)], G, clause_set, lb);
+      const std::string why =
+          tree_lower_bound(objectives_[static_cast<std::size_t>(obj)], lb);
       if (!why.empty()) return why;
       if (lb <= bound) {
         return "negated guards do not exceed the combinator bound";
@@ -534,14 +687,29 @@ class Checker {
 
   // ---- step handlers ------------------------------------------------------
 
-  [[nodiscard]] bool read_lits(Line& line, Lits& out) {
+  /// Read literals up to the terminating 0.  Returns nullptr on success,
+  /// otherwise why the step is malformed (`unterminated` when the 0 is
+  /// missing).  Every literal read is range-checked and covered by the
+  /// per-variable arrays.
+  [[nodiscard]] const char* read_lits(Line& line, Lits& out,
+                                      const char* unterminated) {
     out.clear();
     std::int64_t v = 0;
     while (line.integer(v)) {
-      if (v == 0) return true;
+      if (v == 0) return nullptr;
+      if (!in_range(v)) return kOutOfRange;
+      ensure_var(v);
       out.push_back(v);
     }
-    return false;  // missing terminator
+    return unterminated;
+  }
+
+  /// Read the literal (or variable) of a declaration, under the same range
+  /// contract as read_lits.
+  [[nodiscard]] bool read_lit(Line& line, std::int64_t& out) {
+    if (!line.integer(out) || !in_range(out)) return false;
+    ensure_var(out);
+    return true;
   }
 
   /// Parse one objective-binding term from an O line.  Grammar:
@@ -594,14 +762,19 @@ class Checker {
     return {};
   }
 
+  /// Flags of a literal's variable; read_lits/read_lit covered it.
+  [[nodiscard]] std::uint8_t& flags(std::int64_t lit_or_var) {
+    return var_flags_[static_cast<std::size_t>(std::abs(lit_or_var))];
+  }
+
   /// Record that `lit_or_var`'s variable occurs in an axiom or declaration.
   /// False iff the variable is a replay guard — axioms must never mention
   /// guard variables or the guard-purity soundness argument collapses.
   [[nodiscard]] bool note_axiom_var(std::int64_t lit_or_var) {
-    const std::int64_t v = std::abs(lit_or_var);
-    if (v == 0) return true;
-    if (guard_vars_.count(v) != 0) return false;
-    axiom_vars_.insert(v);
+    if (lit_or_var == 0) return true;
+    std::uint8_t& f = flags(lit_or_var);
+    if ((f & kGuardVar) != 0) return false;
+    f |= kAxiomVar;
     return true;
   }
 
@@ -617,7 +790,7 @@ class Checker {
   /// it can never serve as a pure shard-box activation.
   [[nodiscard]] bool note_structural_var(std::int64_t lit_or_var) {
     if (!note_axiom_var(lit_or_var)) return false;
-    if (lit_or_var != 0) structural_vars_.insert(std::abs(lit_or_var));
+    if (lit_or_var != 0) flags(lit_or_var) |= kStructuralVar;
     return true;
   }
 
@@ -657,8 +830,8 @@ class Checker {
     std::int64_t hi = std::numeric_limits<std::int64_t>::max();
     for (const std::int64_t a : assumptions) {
       if (a <= 0) return;                       // negative phase: not a box act
-      if (structural_vars_.count(a) != 0) return;  // occurs in the system
-      if (guard_vars_.count(a) != 0) return;       // replay guard
+      if ((flags(a) & kStructuralVar) != 0) return;  // occurs in the system
+      if ((flags(a) & kGuardVar) != 0) return;       // replay guard
       const auto it = act_bounds_.find(a);
       if (it == act_bounds_.end()) return;      // activates nothing known
       for (const auto& [kind, id, bound] : it->second) {
@@ -681,13 +854,21 @@ class Checker {
   CheckResult result_;
 
   std::vector<std::int8_t> assign_;  // var -> -1/0/+1
-  std::vector<std::int64_t> trail_;
+  std::vector<Lit> trail_;
   std::size_t qhead_ = 0;
-  std::vector<std::vector<std::uint32_t>> watch_;
-  std::vector<Lits> clause_lits_;
-  std::vector<char> active_;
-  std::map<Lits, std::vector<std::uint32_t>> by_lits_;
+  std::vector<std::vector<Watch>> watch_;  // by lit_index
+  std::vector<Lit> arena_;                 // literals of every stored clause
+  std::vector<Clause> clauses_;
+  std::vector<std::uint32_t> buckets_;  // deletion index: chain heads
+  std::size_t indexed_ = 0;             // active clauses in the index
   bool root_conflict_ = false;
+
+  // Per-step buffers, reused so that checking a step allocates nothing.
+  LitSet clause_set_;  // literals of the step being checked
+  LitSet unfounded_;   // a UF lemma's unfounded atoms
+  std::vector<std::int64_t> dist_;
+  std::vector<const Edge*> live_;
+  std::vector<std::int64_t> payload_;
 
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> sums_;
   std::set<std::array<std::int64_t, 3>> sum_bounds_;
@@ -700,13 +881,12 @@ class Checker {
   std::vector<Rule> rules_;
   std::vector<std::vector<std::int64_t>> feasible_;
 
-  // Guard-purity bookkeeping for `G` replay axioms: variables seen in any
-  // axiom/declaration vs. variables consumed as replay guards.
-  std::set<std::int64_t> axiom_vars_;
-  std::set<std::int64_t> guard_vars_;
-  // Shard-box bookkeeping: variables with structural occurrences, and the
-  // bound declarations each activation literal switches on.
-  std::set<std::int64_t> structural_vars_;
+  // Per-variable flags.  Guard purity for `G` replay axioms: variables seen
+  // in any axiom/declaration vs. variables consumed as replay guards.
+  // Shard boxes: variables with structural occurrences.
+  enum : std::uint8_t { kAxiomVar = 1, kGuardVar = 2, kStructuralVar = 4 };
+  std::vector<std::uint8_t> var_flags_;
+  // The bound declarations each activation literal switches on.
   std::map<std::int64_t, std::vector<std::array<std::int64_t, 3>>> act_bounds_;
 };
 
@@ -742,10 +922,15 @@ CheckResult Checker::run(std::string_view proof) {
     }
 
     if (kind == "I" || kind == "L") {
-      if (!read_lits(line, lits)) return fail("unterminated clause");
+      if (const char* bad = read_lits(line, lits, "unterminated clause")) {
+        return fail(bad);
+      }
       canonicalize(lits);
       if (kind == "L") {
-        if (!rup(lits)) return fail("learnt clause is not RUP");
+        const Clock::time_point start = Clock::now();
+        const bool ok = rup(lits);
+        result_.rup_seconds += seconds_since(start);
+        if (!ok) return fail("learnt clause is not RUP");
         ++result_.learnt_clauses;
       } else {
         if (!note_structural_lits(lits)) {
@@ -755,34 +940,34 @@ CheckResult Checker::run(std::string_view proof) {
       }
       install(lits);
     } else if (kind == "G") {
-      if (!read_lits(line, lits)) return fail("unterminated guarded clause");
+      if (const char* bad = read_lits(line, lits, "unterminated guarded clause")) {
+        return fail(bad);
+      }
       if (lits.empty()) return fail("guarded clause without a guard literal");
       const std::int64_t guard = lits.front();
       if (guard <= 0) return fail("guard literal must be positive");
-      if (axiom_vars_.count(guard) != 0) {
+      if ((flags(guard) & kAxiomVar) != 0) {
         return fail("guard variable is not fresh w.r.t. the axioms");
       }
-      Lits tail(lits.begin() + 1, lits.end());
-      for (const std::int64_t l : tail) {
-        const std::int64_t v = std::abs(l);
-        if (v == guard) {
+      for (std::size_t i = 1; i < lits.size(); ++i) {
+        if (std::abs(lits[i]) == guard) {
           return fail("guard variable occurs in its own clause tail");
         }
-        if (guard_vars_.count(v) != 0) {
+        std::uint8_t& f = flags(lits[i]);
+        if ((f & kGuardVar) != 0) {
           return fail("guarded clause tail mentions a guard variable");
         }
-        axiom_vars_.insert(v);
-        structural_vars_.insert(v);
+        f |= kAxiomVar | kStructuralVar;
       }
-      guard_vars_.insert(guard);
-      tail.push_back(-guard);
-      canonicalize(tail);
+      flags(guard) |= kGuardVar;
+      lits.front() = -guard;  // the clause is the tail plus the guard's negation
+      canonicalize(lits);
       ++result_.guarded_clauses;
-      install(std::move(tail));
+      install(lits);
     } else if (kind == "T") {
       std::string_view tag;
       if (!line.word(tag)) return fail("theory step without tag");
-      std::vector<std::int64_t> payload;
+      payload_.clear();
       std::string_view tok;
       bool separated = false;
       while (line.word(tok)) {
@@ -795,37 +980,37 @@ CheckResult Checker::run(std::string_view proof) {
         if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
           return fail("malformed theory payload");
         }
-        payload.push_back(v);
+        payload_.push_back(v);
       }
       if (!separated) return fail("theory step without ';' separator");
-      if (!read_lits(line, lits)) return fail("unterminated clause");
+      if (const char* bad = read_lits(line, lits, "unterminated clause")) {
+        return fail(bad);
+      }
       canonicalize(lits);
       if (!note_axiom_lits(lits)) {
         return fail("theory lemma mentions a replay guard variable");
       }
-      const std::string why = verify_lemma(tag, payload, lits);
+      const Clock::time_point start = Clock::now();
+      const std::string why = verify_lemma(tag, payload_, lits);
+      result_.theory_seconds += seconds_since(start);
       if (!why.empty()) return fail("theory lemma rejected: " + why);
       ++result_.theory_lemmas;
       install(lits);
     } else if (kind == "D") {
-      if (!read_lits(line, lits)) return fail("unterminated deletion");
-      canonicalize(lits);
-      // The solver stores theory clauses root-simplified, so some deletions
-      // have no exact match here; keeping those clauses only strengthens
-      // propagation over valid clauses, which stays sound.
-      const auto it = by_lits_.find(lits);
-      if (it != by_lits_.end()) {
-        for (const std::uint32_t id : it->second) {
-          if (active_[id]) {
-            active_[id] = 0;
-            break;
-          }
-        }
+      if (const char* bad = read_lits(line, lits, "unterminated deletion")) {
+        return fail(bad);
       }
+      canonicalize(lits);
+      remove(lits);
       ++result_.deletions;
     } else if (kind == "U") {
-      if (!read_lits(line, lits)) return fail("unterminated conclusion");
-      if (!refutes_assumptions(lits)) {
+      if (const char* bad = read_lits(line, lits, "unterminated conclusion")) {
+        return fail(bad);
+      }
+      const Clock::time_point start = Clock::now();
+      const bool refuted = refutes_assumptions(lits);
+      result_.rup_seconds += seconds_since(start);
+      if (!refuted) {
         return fail("Unsat conclusion is not supported by the database");
       }
       ++result_.conclusions;
@@ -841,7 +1026,7 @@ CheckResult Checker::run(std::string_view proof) {
       result_.truncated = true;
     } else if (kind == "F") {
       std::int64_t k = 0;
-      if (!line.integer(k) || k < 0) return fail("malformed feasible point");
+      if (!line.count(k)) return fail("malformed feasible point");
       std::vector<std::int64_t> point(static_cast<std::size_t>(k));
       for (auto& v : point) {
         if (!line.integer(v)) return fail("malformed feasible point");
@@ -860,7 +1045,7 @@ CheckResult Checker::run(std::string_view proof) {
     } else if (kind == "S") {
       std::int64_t id = 0;
       std::int64_t n = 0;
-      if (!line.integer(id) || !line.integer(n) || n < 0 ||
+      if (!line.integer(id) || !line.count(n) ||
           id != static_cast<std::int64_t>(sums_.size())) {
         return fail("malformed sum definition");
       }
@@ -869,7 +1054,7 @@ CheckResult Checker::run(std::string_view proof) {
       for (std::int64_t i = 0; i < n; ++i) {
         std::int64_t guard = 0;
         std::int64_t weight = 0;
-        if (!line.integer(guard) || !line.integer(weight) || guard == 0 ||
+        if (!read_lit(line, guard) || !line.integer(weight) || guard == 0 ||
             weight < 0) {
           return fail("malformed sum term");
         }
@@ -883,7 +1068,7 @@ CheckResult Checker::run(std::string_view proof) {
       std::int64_t id = 0;
       std::int64_t bound = 0;
       std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
           id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
         return fail("malformed sum bound");
       }
@@ -896,7 +1081,7 @@ CheckResult Checker::run(std::string_view proof) {
       std::int64_t id = 0;
       std::int64_t bound = 0;
       std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
           id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
         return fail("malformed sum floor");
       }
@@ -916,14 +1101,14 @@ CheckResult Checker::run(std::string_view proof) {
       Edge e;
       std::int64_t n = 0;
       if (!line.integer(id) || !line.integer(e.from) || !line.integer(e.to) ||
-          !line.integer(e.weight) || !line.integer(n) || n < 0 ||
+          !line.integer(e.weight) || !line.count(n) ||
           id != static_cast<std::int64_t>(edges_.size()) || e.from < 0 ||
           e.from >= num_nodes_ || e.to < 0 || e.to >= num_nodes_) {
         return fail("malformed edge definition");
       }
       e.guards.resize(static_cast<std::size_t>(n));
       for (auto& g : e.guards) {
-        if (!line.integer(g) || g == 0) return fail("malformed edge guard");
+        if (!read_lit(line, g) || g == 0) return fail("malformed edge guard");
         if (!note_structural_var(g)) {
           return fail("edge guard mentions a replay guard variable");
         }
@@ -933,7 +1118,7 @@ CheckResult Checker::run(std::string_view proof) {
       std::int64_t id = 0;
       std::int64_t bound = 0;
       std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !line.integer(act) ||
+      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
           id < 0 || id >= num_nodes_) {
         return fail("malformed node bound");
       }
@@ -963,7 +1148,7 @@ CheckResult Checker::run(std::string_view proof) {
       std::int64_t obj = 0;
       std::int64_t bound = 0;
       std::int64_t act = 0;
-      if (!line.integer(obj) || !line.integer(bound) || !line.integer(act) ||
+      if (!line.integer(obj) || !line.integer(bound) || !read_lit(line, act) ||
           obj < 0 || static_cast<std::size_t>(obj) >= objectives_.size() ||
           objectives_[static_cast<std::size_t>(obj)].kind == 0) {
         return fail("combinator bound on an undeclared objective");
@@ -976,13 +1161,13 @@ CheckResult Checker::run(std::string_view proof) {
     } else if (kind == "PR") {
       Rule r;
       std::int64_t n = 0;
-      if (!line.integer(r.head) || r.head == 0 || !line.integer(r.body) ||
-          r.body == 0 || !line.integer(n) || n < 0) {
+      if (!read_lit(line, r.head) || r.head == 0 || !read_lit(line, r.body) ||
+          r.body == 0 || !line.count(n)) {
         return fail("malformed program rule");
       }
       r.pos_heads.resize(static_cast<std::size_t>(n));
       for (auto& h : r.pos_heads) {
-        if (!line.integer(h) || h == 0) return fail("malformed program rule");
+        if (!read_lit(line, h) || h == 0) return fail("malformed program rule");
       }
       if (!note_structural_var(r.head) || !note_structural_var(r.body) ||
           !note_structural_lits(r.pos_heads)) {

@@ -65,6 +65,13 @@ struct CheckResult {
   std::size_t deletions = 0;
   std::size_t conclusions = 0;
   std::size_t feasible_points = 0;
+  /// Literals assigned while checking learnt clauses by RUP and Unsat
+  /// conclusions by propagation: the work behind rup_seconds.
+  std::size_t propagations = 0;
+  /// Wall seconds spent in those RUP and conclusion checks.
+  double rup_seconds = 0.0;
+  /// Wall seconds spent re-deriving theory lemmas from the declarations.
+  double theory_seconds = 0.0;
   /// With CheckOptions::shard_objective set: closed intervals [lo, hi] of
   /// the shard objective proven empty modulo dominance — each comes from a
   /// verified Unsat conclusion whose assumptions are *pure* box activations

@@ -110,6 +110,95 @@ TEST(ProofChecker, VerifiesDominanceLemma) {
       << unjustified.error;
 }
 
+// ---- literal-range contract -------------------------------------------------
+
+TEST(ProofChecker, RejectsLiteralBeyond32Bits) {
+  const auto r = check("p aspmt 1\nL 4000000000000 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 2: literal out of range"), std::string::npos)
+      << r.error;
+  // Declarations are held to the same contract.
+  const auto act = check("p aspmt 1\nS 0 1 1 3\nSB 0 5 4000000000000\n");
+  EXPECT_FALSE(act.ok);
+  EXPECT_NE(act.error.find("line 3:"), std::string::npos) << act.error;
+}
+
+TEST(ProofChecker, RejectsInt64MinLiteral) {
+  const auto r = check("p aspmt 1\nI 1 2 0\nL -9223372036854775808 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 3: literal out of range"), std::string::npos)
+      << r.error;
+}
+
+TEST(ProofChecker, RejectsCountsBeyondTheLine) {
+  // A count that could not fit on its line is malformed, not an allocation.
+  const auto r = check("p aspmt 1\nS 0 4000000000000 1 3\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 2: malformed sum definition"), std::string::npos)
+      << r.error;
+}
+
+// ---- literal sets and the deletion index -------------------------------------
+
+TEST(ProofChecker, LemmaMarksDoNotLeakIntoTheNextLemma) {
+  // The second lemma would hold only with the first lemma's -2 still marked.
+  const auto sum = check(
+      "p aspmt 1\nS 0 2 1 3 2 4\nSB 0 5 0\n"
+      "T LS 0 5 0 ; -1 -2 0\nT LS 0 5 0 ; -1 0\n");
+  EXPECT_FALSE(sum.ok);
+  EXPECT_NE(sum.error.find("line 5: theory lemma rejected"), std::string::npos)
+      << sum.error;
+  const auto cycle = check(
+      "p aspmt 1\nN 0\nN 1\nE 0 0 1 2 1 3\nE 1 1 0 2 1 4\n"
+      "T DC ; -3 -4 0\nT DC ; -3 0\n");
+  EXPECT_FALSE(cycle.ok);
+  EXPECT_NE(cycle.error.find("line 7: theory lemma rejected"), std::string::npos)
+      << cycle.error;
+}
+
+TEST(ProofChecker, DeletionRemovesExactlyOneOfTwoIdenticalClauses) {
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI 1 2 0\nI -1 2 0\n"
+      "D 1 2 0\nU -2 0\n"   // the other copy still propagates 1
+      "D 1 2 0\nU -2 0\n");  // no copy left
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 8: Unsat conclusion"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.conclusions, 1U);
+  EXPECT_EQ(r.deletions, 2U);
+}
+
+TEST(ProofChecker, DeletionMatchesLiteralsInAnyOrder) {
+  // The first conclusion moves the watch of (1 2 3) off 1, so the stored
+  // order no longer matches the deletion's either.
+  const auto r = check(
+      "p aspmt 1\nI 1 2 3 0\nI -3 5 0\nI -3 -5 0\n"
+      "U -1 -2 0\nD 3 1 2 0\nU -1 -2 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 7: Unsat conclusion"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.conclusions, 1U);
+}
+
+TEST(ProofChecker, UnmatchedDeletionIsANoOp) {
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI -1 2 0\n"
+      "D 1 3 0\nD 1 2 3 0\nD 1 0\nD 7 8 0\nU -2 0\n");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.deletions, 4U);
+  EXPECT_EQ(r.conclusions, 1U);
+}
+
+TEST(ProofChecker, CountsPropagationsOfRupAndConclusionChecks) {
+  // L 1: -1 is asserted and 2 propagated before (1 -2) conflicts.  The
+  // conclusion's -1 is already false at root, so it assigns nothing.
+  const auto r = check("p aspmt 1\nI 1 2 0\nI 1 -2 0\nL 1 0\nU -1 0\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.propagations, 2U);
+  EXPECT_GE(r.rup_seconds, 0.0);
+  EXPECT_EQ(r.theory_seconds, 0.0);
+}
+
 // ---- mutations of a real explorer proof -----------------------------------
 
 std::string real_proof() {
@@ -216,6 +305,31 @@ TEST(CertifyFront, SingletonRoundTrips) {
   // And an empty proof certifies nothing.
   const auto empty = cert::certify_front(spec, pairs, r.front, "");
   EXPECT_FALSE(empty.certified);
+}
+
+TEST(CertifyFront, WrongArityPointsAreRefused) {
+  const synth::Specification spec = test::singleton();
+  dse::ExploreOptions opts;
+  opts.common.certify = true;
+  const dse::ExploreResult r = dse::explore(spec, opts);
+  ASSERT_TRUE(r.certified) << r.certificate_error;
+  ASSERT_EQ(r.front.size(), 1U);
+  std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs;
+  pairs.emplace_back(r.front[0], r.witnesses[0]);
+
+  std::vector<pareto::Vec> long_front = r.front;
+  long_front[0].push_back(0);
+  const auto front = cert::certify_front(spec, pairs, long_front, r.proof);
+  EXPECT_FALSE(front.certified);
+  EXPECT_NE(front.error.find("arity mismatch: front point"), std::string::npos)
+      << front.error;
+
+  auto short_pairs = pairs;
+  short_pairs[0].first.pop_back();
+  const auto discovery = cert::certify_front(spec, short_pairs, r.front, r.proof);
+  EXPECT_FALSE(discovery.certified);
+  EXPECT_NE(discovery.error.find("arity mismatch: discovery"), std::string::npos)
+      << discovery.error;
 }
 
 }  // namespace
