@@ -153,16 +153,30 @@ std::uint64_t spec_fingerprint(const synth::Specification& spec) {
   return fnv1a(synth::to_text(spec));
 }
 
-bool checkpoint_matches(const Checkpoint& ckpt,
-                        const synth::Specification& spec) {
-  if (ckpt.spec_fingerprint != spec_fingerprint(spec)) return false;
+std::string checkpoint_mismatch(const Checkpoint& ckpt,
+                                const synth::Specification& spec) {
+  if (ckpt.spec_fingerprint != spec_fingerprint(spec)) {
+    return "checkpoint was written for a different specification";
+  }
   // The combined hash alone is not enough: compare every section digest a
   // v3 checkpoint carries, so a per-hash collision cannot smuggle a foreign
   // front past the resume gate.
   if (ckpt.has_sections && !(ckpt.sections == spec_sections(spec))) {
-    return false;
+    return "checkpoint section digests differ from the specification's";
   }
-  return true;
+  for (const pareto::Vec& p : ckpt.points) {
+    if (p.size() != spec.axis_count()) {
+      return "checkpoint point " + pareto::to_string(p) + " has " +
+             std::to_string(p.size()) + " values but the specification has " +
+             std::to_string(spec.axis_count()) + " Pareto axes";
+    }
+  }
+  return {};
+}
+
+bool checkpoint_matches(const Checkpoint& ckpt,
+                        const synth::Specification& spec) {
+  return checkpoint_mismatch(ckpt, spec).empty();
 }
 
 std::string to_text(const Checkpoint& ckpt) {

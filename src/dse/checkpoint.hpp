@@ -71,10 +71,17 @@ struct Checkpoint {
 /// against a different spec is refused.
 [[nodiscard]] std::uint64_t spec_fingerprint(const synth::Specification& spec);
 
-/// True iff the checkpoint was written for `spec`: the combined fingerprint
-/// matches AND (for v3 checkpoints) every per-section digest matches.  The
-/// section comparison closes a latent hole — a combined-hash collision
-/// between different specs would otherwise admit a foreign checkpoint.
+/// Why the checkpoint was not written for `spec`, or an empty string when
+/// it was: the combined fingerprint must match, (for v3+ checkpoints) every
+/// per-section digest must match, and every point must carry one value per
+/// Pareto axis.  The section comparison closes a latent hole — a
+/// combined-hash collision between different specs would otherwise admit a
+/// foreign checkpoint — and the arity check keeps a malformed front out of
+/// the shared archive, which throws on a wrong-arity point.
+[[nodiscard]] std::string checkpoint_mismatch(const Checkpoint& ckpt,
+                                              const synth::Specification& spec);
+
+/// checkpoint_mismatch(ckpt, spec).empty().
 [[nodiscard]] bool checkpoint_matches(const Checkpoint& ckpt,
                                       const synth::Specification& spec);
 

@@ -16,6 +16,9 @@ void export_metrics(obs::MetricsRegistry& registry,
   // equal field-for-field.
   registry.counter("explore.models").set(s.models);
   registry.counter("explore.prunings").set(s.prunings);
+  registry.counter("explore.residual_conflicts").set(s.residual_conflicts);
+  registry.counter("explore.residual_implications")
+      .set(s.residual_implications);
   registry.counter("explore.conflicts").set(s.conflicts);
   registry.counter("explore.decisions").set(s.decisions);
   registry.counter("explore.propagations").set(s.propagations);

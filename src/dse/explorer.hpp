@@ -33,6 +33,10 @@ struct ExploreOptions {
 struct ExploreStats {
   std::uint64_t models = 0;      ///< accepted answer sets
   std::uint64_t prunings = 0;    ///< dominance conflicts raised
+  /// Residual combinator bounds (combinator_bounds.hpp): nogoods raised and
+  /// guards a weighted axis' residual bound set false.
+  std::uint64_t residual_conflicts = 0;
+  std::uint64_t residual_implications = 0;
   std::uint64_t conflicts = 0;   ///< total solver conflicts
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;

@@ -1,7 +1,6 @@
 #include "dse/objective_term.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -184,8 +183,7 @@ void ObjectiveTerm::explain(std::int64_t threshold,
           return;
         }
       }
-      assert(false && "no source explains the requested threshold");
-      return;
+      throw std::logic_error("linear term explanation: threshold unreachable");
     }
     case Kind::Difference:
       difference_->explain_bound(node_, out);
@@ -200,16 +198,41 @@ void ObjectiveTerm::explain(std::int64_t threshold,
           return;
         }
       }
-      assert(false && "no child explains the minmax threshold");
-      return;
+      throw std::logic_error("minmax explanation: threshold unreachable");
     }
     case Kind::Weighted: {
-      // Explain every child at its current bound: the checker re-derives at
-      // least these child values, and Σ w_i · lb_i >= threshold already.
-      for (const ObjectiveTerm& c : children_) {
-        c.explain(c.lower_bound(), out);
+      // Explain children in full, the largest contribution w_i · lb_i last,
+      // until the explained contributions reach the threshold; the child
+      // that crosses it is explained only to ⌈remaining / w_i⌉.  Cutting
+      // the largest contribution drops the most slack.  The checker
+      // re-derives at least the explained child values (unexplained
+      // children fold as >= 0).
+      auto contribution = [this](std::size_t i) {
+        return static_cast<__int128>(params_[i]) * children_[i].lower_bound();
+      };
+      std::size_t largest = 0;
+      for (std::size_t i = 1; i < children_.size(); ++i) {
+        if (contribution(i) > contribution(largest)) largest = i;
       }
-      return;
+      __int128 remaining = threshold;
+      auto take = [&](std::size_t i) {  // true once the threshold is covered
+        const std::int64_t lb = children_[i].lower_bound();
+        if (lb <= 0) return false;
+        const __int128 w = params_[i];
+        if (w * lb >= remaining) {
+          children_[i].explain(static_cast<std::int64_t>((remaining + w - 1) / w),
+                               out);
+          return true;
+        }
+        children_[i].explain(lb, out);
+        remaining -= w * lb;
+        return false;
+      };
+      for (std::size_t i = 0; i < children_.size(); ++i) {
+        if (i != largest && take(i)) return;
+      }
+      if (take(largest)) return;
+      throw std::logic_error("weighted explanation: threshold unreachable");
     }
     case Kind::Lex: {
       // Explain each child at its clamped bound; packing the clamped child

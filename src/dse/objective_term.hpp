@@ -23,7 +23,8 @@
 //                       into children.  The explanation is checker-friendly:
 //                       re-deriving each *leaf* bound from the clause and
 //                       folding it through the (monotone) combinators again
-//                       reaches t;
+//                       reaches t.  weighted explains children only until
+//                       Σ w_i·explained_i reaches t;
 //   * push_bound()    — decompose `term <= bound` into child theory bounds
 //                       where sound.  minmax/scenario_worst fan out
 //                       completely; weighted pushes child_i <= bound/w_i and
@@ -109,6 +110,10 @@ class ObjectiveTerm {
   }
   /// Leaf theory id (sum or node).
   [[nodiscard]] std::uint32_t leaf_id() const noexcept { return id_; }
+  /// Propagator holding a linear leaf's primary sum (nullptr elsewhere).
+  [[nodiscard]] const theory::LinearSumPropagator* linear() const noexcept {
+    return linear_;
+  }
   [[nodiscard]] const std::vector<ObjectiveTerm>& children() const noexcept {
     return children_;
   }
@@ -122,7 +127,10 @@ class ObjectiveTerm {
   /// assignments).
   [[nodiscard]] std::int64_t lower_bound() const;
 
-  /// Append true literals justifying `lower_bound() >= threshold`.
+  /// Append true literals justifying `lower_bound() >= threshold`.  Throws
+  /// std::logic_error when the current bound does not reach `threshold` (in
+  /// every build type: a short explanation would be negated into a nogood
+  /// stronger than its justification).
   void explain(std::int64_t threshold, std::vector<asp::Lit>& out) const;
 
   /// Push `term <= bound` into child theory bounds where sound.  Returns

@@ -425,6 +425,8 @@ void run_worker(std::size_t index, std::size_t total,
 
   const asp::SolverStats& s = ctx.solver.stats();
   report.prunings = ctx.dominance().prunings();
+  report.residual_conflicts = ctx.combinator_bounds().conflicts();
+  report.residual_implications = ctx.combinator_bounds().implications();
   report.conflicts = s.conflicts;
   report.decisions = s.decisions;
   report.propagations = s.propagations;
@@ -517,10 +519,10 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   // worker's first generation-counter sync pulls the checkpointed front.
   bool resumed = false;
   if (common.resume != nullptr) {
-    if (!checkpoint_matches(*common.resume, spec)) {
-      result.base.errors.push_back(
-          "resume rejected: checkpoint was written for a different "
-          "specification; starting cold");
+    if (const std::string why = checkpoint_mismatch(*common.resume, spec);
+        !why.empty()) {
+      result.base.errors.push_back("resume rejected: " + why +
+                                   "; starting cold");
     } else {
       const Checkpoint& ckpt = *common.resume;
       for (std::size_t i = 0; i < ckpt.points.size(); ++i) {
@@ -643,6 +645,8 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   for (const WorkerReport& w : result.workers) {
     stats.models += w.models;
     stats.prunings += w.prunings;
+    stats.residual_conflicts += w.residual_conflicts;
+    stats.residual_implications += w.residual_implications;
     stats.conflicts += w.conflicts;
     stats.decisions += w.decisions;
     stats.propagations += w.propagations;

@@ -93,6 +93,8 @@ struct WorkerReport {
   std::uint64_t shared_inserts = 0;    ///< points this worker published first
   std::uint64_t rejected_inserts = 0;  ///< beaten to the archive by a peer
   std::uint64_t prunings = 0;
+  std::uint64_t residual_conflicts = 0;
+  std::uint64_t residual_implications = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   std::uint64_t propagations = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace aspmt::obs {
 
@@ -9,12 +10,11 @@ Collector::Collector(EventSink& sink, std::size_t recorders)
     : Collector(sink, recorders, Options()) {}
 
 Collector::Collector(EventSink& sink, std::size_t recorders, Options options)
-    : sink_(sink), options_(options) {
-  const Recorder::Clock::time_point epoch = Recorder::Clock::now();
+    : sink_(sink), options_(options), epoch_(Recorder::Clock::now()) {
   recorders_.reserve(recorders);
   for (std::size_t i = 0; i < recorders; ++i) {
     recorders_.push_back(std::make_unique<Recorder>(
-        static_cast<std::uint16_t>(i), epoch, options_.ring_capacity));
+        static_cast<std::uint16_t>(i), epoch_, options_.ring_capacity));
   }
 }
 
@@ -39,7 +39,7 @@ void Collector::stop() {
   // Producers must be quiescent by now (workers joined before stop()); the
   // final sweep below therefore sees every remaining event.
   for (auto& r : recorders_) r->set_enabled(false);
-  drain_once();
+  drain_once(/*final=*/true);
   const std::uint64_t dropped = dropped_total();
   if (dropped != 0) sink_.on_drop(dropped);
   sink_.flush();
@@ -55,7 +55,7 @@ void Collector::drain_loop() {
   const auto interval = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::duration<double>(options_.drain_interval_seconds));
   for (;;) {
-    drain_once();
+    drain_once(/*final=*/false);
     sink_.tick();
     std::unique_lock lock(mutex_);
     if (cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
@@ -64,14 +64,27 @@ void Collector::drain_loop() {
   }
 }
 
-void Collector::drain_once() {
-  batch_.clear();
+void Collector::drain_once(bool final) {
+  // Read the watermark before popping.  An event pushed after this sweep
+  // popped its ring waits for the next sweep; anything that happened after
+  // that push is stamped after the pop, hence past the watermark, and waits
+  // too, so cross-thread order survives the merge.
+  const std::uint64_t watermark =
+      final ? std::numeric_limits<std::uint64_t>::max()
+            : static_cast<std::uint64_t>(
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      Recorder::Clock::now() - epoch_)
+                      .count());
   for (auto& r : recorders_) r->ring().pop_all(batch_);
   // Per-ring order is emission order; merging by timestamp gives the sink a
   // globally monotone stream (up to clock resolution) across workers.
   std::stable_sort(batch_.begin(), batch_.end(),
                    [](const Event& a, const Event& b) { return a.t_ns < b.t_ns; });
-  for (const Event& e : batch_) sink_.on_event(e);
+  const auto held = std::upper_bound(
+      batch_.begin(), batch_.end(), watermark,
+      [](std::uint64_t w, const Event& e) { return w < e.t_ns; });
+  for (auto it = batch_.begin(); it != held; ++it) sink_.on_event(*it);
+  batch_.erase(batch_.begin(), held);
 }
 
 }  // namespace aspmt::obs

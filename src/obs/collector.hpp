@@ -53,12 +53,18 @@ class Collector {
  private:
   void drain_loop();
   /// One sweep over every ring; forwards the merged batch to the sink.
-  void drain_once();
+  /// Except on the `final` sweep, events stamped after the sweep began are
+  /// held back to the next one: a ring swept earlier may still receive an
+  /// older event that happened before them.
+  void drain_once(bool final);
 
   EventSink& sink_;
   Options options_;
+  Recorder::Clock::time_point epoch_;
   std::vector<std::unique_ptr<Recorder>> recorders_;
-  std::vector<Event> batch_;  // drain scratch, collector thread only
+  // Drain scratch, collector thread only; starts each sweep with the events
+  // the previous one held back.
+  std::vector<Event> batch_;
 
   std::thread thread_;
   std::mutex mutex_;

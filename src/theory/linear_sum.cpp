@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "asp/solver.hpp"
 
@@ -72,7 +73,9 @@ void LinearSumPropagator::explain_lower_bound(SumId id, std::int64_t threshold,
     gathered += t.weight;
     if (gathered >= threshold) return;
   }
-  assert(gathered >= threshold && "lower bound smaller than threshold");
+  // A short explanation would be negated into a nogood stronger than its
+  // justification, so the contract holds in every build type.
+  throw std::logic_error("linear sum explanation: lower bound below threshold");
 }
 
 void LinearSumPropagator::explain_forfeit(SumId id, std::int64_t threshold,
@@ -88,7 +91,8 @@ void LinearSumPropagator::explain_forfeit(SumId id, std::int64_t threshold,
     gathered += t.weight;
     if (gathered >= threshold) return;
   }
-  assert(gathered >= threshold && "forfeited weight smaller than threshold");
+  throw std::logic_error(
+      "linear sum explanation: forfeited weight below threshold");
 }
 
 std::int64_t LinearSumPropagator::value_under_model(

@@ -51,6 +51,12 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
     return sums_[s].lower;
   }
 
+  /// The sum's terms, sorted by weight descending (`contributing` tracks
+  /// the current assignment).
+  [[nodiscard]] const std::vector<Term>& terms(SumId s) const noexcept {
+    return sums_[s].terms;
+  }
+
   /// Upper bound (lower + all undecided weights).
   [[nodiscard]] std::int64_t upper_bound(SumId s) const noexcept {
     return sums_[s].lower + sums_[s].slack;
@@ -84,7 +90,8 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
 
   /// Collect true guards explaining `lower_bound(s) >= threshold`, greedily
   /// preferring heavy guards so explanations stay short.  Appends the guard
-  /// literals (which are true) to `out`.
+  /// literals (which are true) to `out`.  Throws std::logic_error when the
+  /// lower bound is below `threshold` (in every build type).
   void explain_lower_bound(SumId s, std::int64_t threshold,
                            std::vector<asp::Lit>& out) const;
 
@@ -137,7 +144,8 @@ class LinearSumPropagator final : public asp::TheoryPropagator {
   [[nodiscard]] bool enforce_bound(asp::Solver& solver, SumId id);
   [[nodiscard]] bool enforce_lower_bound(asp::Solver& solver, SumId id);
   // Collect FALSE guards (appended positively) explaining
-  // `upper_bound(s) <= total - threshold`, heavy-first.
+  // `upper_bound(s) <= total - threshold`, heavy-first.  Throws
+  // std::logic_error when too little weight is forfeited.
   void explain_forfeit(SumId s, std::int64_t threshold,
                        const asp::Solver& solver,
                        std::vector<asp::Lit>& out) const;

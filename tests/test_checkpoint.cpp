@@ -149,6 +149,38 @@ TEST(Checkpoint, ResumeFromForeignSpecStartsCold) {
   EXPECT_EQ(r.front, explore(test::chain3_bus()).front);  // unpoisoned
 }
 
+// A checkpoint whose fingerprint matches but whose points have the wrong
+// arity used to reach the shared archive during set-up, outside the worker
+// containment, and throw from explore().  It is refused like a foreign one.
+TEST(Checkpoint, WrongArityPointsAreRejectedLikeAForeignSpec) {
+  const synth::Specification spec = test::chain3_bus();
+  const ExploreResult cold = explore(spec);
+  for (const bool longer : {true, false}) {
+    Checkpoint ckpt = explored_checkpoint(spec);
+    ASSERT_TRUE(checkpoint_matches(ckpt, spec));
+    ASSERT_FALSE(ckpt.points.empty());
+    if (longer) {
+      ckpt.points.back().push_back(0);
+    } else {
+      ckpt.points.back().pop_back();
+    }
+    EXPECT_FALSE(checkpoint_matches(ckpt, spec));
+    EXPECT_NE(checkpoint_mismatch(ckpt, spec).find("3 Pareto axes"),
+              std::string::npos)
+        << checkpoint_mismatch(ckpt, spec);
+
+    ExploreOptions opts;
+    opts.common.resume = &ckpt;
+    const ExploreResult r = explore(spec, opts);
+    ASSERT_TRUE(r.stats.complete);
+    ASSERT_FALSE(r.errors.empty());
+    EXPECT_NE(r.errors.front().find("resume rejected"), std::string::npos);
+    EXPECT_NE(r.errors.front().find("Pareto axes"), std::string::npos)
+        << r.errors.front();
+    EXPECT_EQ(r.front, cold.front);  // started cold, unpoisoned
+  }
+}
+
 TEST(Checkpoint, KilledAndResumedRunMatchesUninterrupted) {
   const synth::Specification spec = test::diamond_two_proc();
   const ExploreResult uninterrupted = explore(spec);

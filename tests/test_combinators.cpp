@@ -89,7 +89,7 @@ std::vector<pareto::Vec> reference_front(
   return sorted(archive.points());
 }
 
-/// Sequential certified run plus the portfolio at 1/2/4 threads, all
+/// Sequential and portfolio (1/2/4 threads) runs, all certified and
 /// compared against the brute-force reference.
 void expect_differential(const synth::Specification& base,
                          const std::vector<std::string>& comb_axes) {
@@ -107,8 +107,11 @@ void expect_differential(const synth::Specification& base,
   for (const std::size_t threads : {1U, 2U, 4U}) {
     dse::ParallelExploreOptions popts;
     popts.threads = threads;
+    popts.common.certify = true;
     const dse::ParallelExploreResult pr = dse::explore_parallel(comb, popts);
     ASSERT_TRUE(pr.base.stats.complete) << "threads " << threads;
+    EXPECT_TRUE(pr.base.certified)
+        << "threads " << threads << ": " << pr.base.certificate_error;
     EXPECT_EQ(sorted(pr.base.front), ref) << "threads " << threads;
   }
 }
@@ -126,6 +129,19 @@ TEST(CombinatorFronts, MinMaxMatchesBruteForceCertified) {
 TEST(CombinatorFronts, WeightedMatchesBruteForceCertified) {
   expect_differential(test::chain3_bus(),
                       {"weighted(2*latency+3*energy)", "cost"});
+}
+
+// The weighted residual bound implies guards of linear-leaf children;
+// non-linear children (a difference-logic latency, a nested minmax) count as
+// fixed contributions.
+TEST(CombinatorFronts, WeightedOverTwoLinearLeavesMatchesBruteForceCertified) {
+  expect_differential(test::chain3_bus(),
+                      {"weighted(2*energy+1*cost)", "latency"});
+}
+
+TEST(CombinatorFronts, WeightedOverMixedChildrenMatchesBruteForceCertified) {
+  expect_differential(test::chain3_bus(),
+                      {"weighted(1*latency+2*minmax(energy,cost))", "cost"});
 }
 
 TEST(CombinatorFronts, ScenarioWorstMatchesBruteForceCertified) {

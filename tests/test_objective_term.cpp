@@ -1,7 +1,9 @@
 // The ObjectiveTerm tree API: factory validation, proof-binding
-// serialization, combinator lower-bound semantics on total assignments, the
-// tagged Source variant, the linear-only add_lower_bound contract and the
-// one-release deprecation shims over the old flat registration calls.
+// serialization, combinator lower-bound semantics on total assignments,
+// explanation contracts (minimal weighted explanations, throws on an
+// unreachable threshold), the tagged Source variant, the linear-only
+// add_lower_bound contract, and the weighted residual bound that implies
+// guards through checkable CB lemmas.
 #include "dse/objective_term.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "asp/proof.hpp"
 #include "asp/solver.hpp"
+#include "cert/checker.hpp"
+#include "dse/combinator_bounds.hpp"
 #include "dse/objective_manager.hpp"
 #include "theory/difference.hpp"
 #include "theory/linear_sum.hpp"
@@ -192,6 +197,131 @@ TEST(ObjectiveTermSemantics, ExplanationsJustifyTheThresholdByChildRecursion) {
   for (const Lit l : reason) {
     EXPECT_EQ(f.solver.value(l), asp::Lbool::True);
   }
+}
+
+TEST(ObjectiveTermSemantics, WeightedExplanationStopsAtTheThreshold) {
+  Fixture f;
+  auto leaf = [&](theory::LinearSumPropagator::SumId s) {
+    return ObjectiveTerm::linear("l", &f.linear, s);
+  };
+  // 2*s0 + 3*s1 with s0 = 8 (v0:5, v1:3) and s1 = 9 (v2:7, v3:2): the
+  // contributions are 16 and 27, the largest explained last.
+  const ObjectiveTerm w =
+      ObjectiveTerm::weighted("w", {2, 3}, {leaf(f.s0), leaf(f.s1)});
+  f.fix_all();
+  std::vector<Lit> reason;
+  w.explain(10, reason);  // s0 at ⌈10/2⌉ = 5: v0 alone
+  EXPECT_EQ(reason, (std::vector<Lit>{L(f.vars[0])}));
+  reason.clear();
+  w.explain(17, reason);  // s0 in full (16), then s1 at ⌈1/3⌉ = 1: v2
+  EXPECT_EQ(reason,
+            (std::vector<Lit>{L(f.vars[0]), L(f.vars[1]), L(f.vars[2])}));
+  reason.clear();
+  w.explain(43, reason);  // everything
+  EXPECT_EQ(reason.size(), 4U);
+}
+
+TEST(ObjectiveTermSemantics, UnreachableThresholdsThrowInEveryBuild) {
+  // Nothing is assigned: every bound is 0, so no threshold >= 1 can be
+  // explained.  A short explanation would be negated into a nogood
+  // stronger than its justification; the contract must not depend on
+  // assert().
+  Fixture f;
+  auto leaf = [&](theory::LinearSumPropagator::SumId s) {
+    return ObjectiveTerm::linear("l", &f.linear, s);
+  };
+  std::vector<Lit> out;
+  EXPECT_THROW(f.linear.explain_lower_bound(f.s0, 1, out), std::logic_error);
+  EXPECT_THROW(leaf(f.s0).explain(1, out), std::logic_error);
+  EXPECT_THROW(ObjectiveTerm::minmax("m", {leaf(f.s0), leaf(f.s1)}).explain(1, out),
+               std::logic_error);
+  EXPECT_THROW(
+      ObjectiveTerm::weighted("w", {2, 3}, {leaf(f.s0), leaf(f.s1)}).explain(1, out),
+      std::logic_error);
+  EXPECT_TRUE(out.empty());
+  // Threshold 0 needs no literals.
+  leaf(f.s0).explain(0, out);
+  EXPECT_TRUE(out.empty());
+}
+
+// ---- the weighted residual bound --------------------------------------------
+
+/// A proof-logged weighted axis 2*s0 + 1*s1 over
+///   s0 = 5*[v0] + 3*[v1]     s1 = 7*[v2] + 2*[v3]
+/// bounded by `axis <= 14`.
+struct ResidualFixture {
+  asp::ProofLog proof;
+  Solver solver;
+  theory::LinearSumPropagator linear;
+  ObjectiveManager objectives;
+  CombinatorBoundPropagator residual{objectives};
+  std::vector<Var> vars;
+
+  ResidualFixture() {
+    solver.set_proof(&proof);
+    linear.set_proof(&proof);
+    residual.set_proof(&proof);
+    for (int i = 0; i < 4; ++i) vars.push_back(solver.new_var());
+    solver.add_propagator(&linear);
+    solver.add_propagator(&residual);
+    const auto s0 = linear.add_sum("s0", {{L(vars[0]), 5}, {L(vars[1]), 3}});
+    const auto s1 = linear.add_sum("s1", {{L(vars[2]), 7}, {L(vars[3]), 2}});
+    objectives.attach_combinator_bounds(&residual);
+    objectives.add(ObjectiveTerm::weighted(
+        "w", {2, 1},
+        {ObjectiveTerm::linear("a", &linear, s0),
+         ObjectiveTerm::linear("b", &linear, s1)}));
+    std::string tokens;
+    objectives.term(0).serialize(tokens);
+    proof.def_objective_term(0, tokens);
+    objectives.add_bound(0, 14);  // pushes s0 <= 7, s1 <= 14 + the residual
+  }
+
+  /// The proof's CB lemma lines.
+  [[nodiscard]] std::vector<std::string> cb_lemmas() const {
+    std::vector<std::string> lines;
+    std::size_t pos = 0;
+    const std::string& text = proof.text();
+    while ((pos = text.find("T CB ", pos)) != std::string::npos) {
+      const std::size_t eol = text.find('\n', pos);
+      lines.push_back(text.substr(pos, eol - pos));
+      pos = eol;
+    }
+    return lines;
+  }
+};
+
+TEST(WeightedResidual, ImpliesAGuardFalseThroughACheckableLemma) {
+  ResidualFixture f;
+  // v2 true puts s1 at 7, so s0 must stay <= ⌊(14 - 7) / 2⌋ = 3: v0 (5)
+  // cannot hold.  Neither pushed leaf bound sees it (s0 <= 7 admits v0
+  // alone), so only the residual bound can set v0 false, before any
+  // decision and without a conflict.
+  const std::vector<Lit> assume{L(f.vars[2])};
+  ASSERT_EQ(f.solver.solve(assume), Solver::Result::Sat);
+  EXPECT_EQ(asp::lit_value(f.solver.model()[f.vars[0]], L(f.vars[0])),
+            asp::Lbool::False);
+  EXPECT_GE(f.residual.implications(), 1U);
+  EXPECT_EQ(f.residual.conflicts(), 0U);
+
+  // The implication is the CB lemma {-v2, -v0} over the declared bound.
+  const std::vector<std::string> lemmas = f.cb_lemmas();
+  ASSERT_FALSE(lemmas.empty()) << f.proof.text();
+  EXPECT_EQ(lemmas[0], "T CB 0 14 0 ; -1 -3 0");
+  const cert::CheckResult ok = cert::check_proof(f.proof.text(), {});
+  EXPECT_TRUE(ok.ok) << ok.error;
+  EXPECT_GE(ok.theory_lemmas, lemmas.size());
+
+  // Dropping the explanation literal -v2 leaves 2*5 = 10 <= 14: the
+  // tampered lemma no longer folds past the bound and is rejected.
+  std::string tampered = f.proof.text();
+  const std::size_t at = tampered.find(lemmas[0]);
+  tampered.replace(at, lemmas[0].size(), "T CB 0 14 0 ; -1 0");
+  const cert::CheckResult bad = cert::check_proof(tampered, {});
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.error.find("do not exceed the combinator bound"),
+            std::string::npos)
+      << bad.error;
 }
 
 // ---- ObjectiveManager: Source variant and bound contracts -------------------

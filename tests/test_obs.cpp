@@ -29,6 +29,7 @@
 #include "obs/ring.hpp"
 #include "obs/sink.hpp"
 #include "pareto/archive.hpp"
+#include "synth/objective_expr.hpp"
 #include "synth_fixtures.hpp"
 
 namespace aspmt {
@@ -112,6 +113,10 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
   ASSERT_TRUE(r.stats.complete);
   EXPECT_EQ(reg.counter("explore.models").value(), r.stats.models);
   EXPECT_EQ(reg.counter("explore.prunings").value(), r.stats.prunings);
+  EXPECT_EQ(reg.counter("explore.residual_conflicts").value(),
+            r.stats.residual_conflicts);
+  EXPECT_EQ(reg.counter("explore.residual_implications").value(),
+            r.stats.residual_implications);
   EXPECT_EQ(reg.counter("explore.conflicts").value(), r.stats.conflicts);
   EXPECT_EQ(reg.counter("explore.decisions").value(), r.stats.decisions);
   EXPECT_EQ(reg.counter("explore.propagations").value(),
@@ -128,6 +133,33 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"explore.models\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
+}
+
+TEST(Obs, ResidualCountersSumOverWorkersOnAWeightedAxis) {
+  synth::Specification spec = test::chain3_bus();
+  for (const char* axis : {"weighted(2*energy+1*cost)", "latency"}) {
+    synth::ObjectiveExpr e;
+    ASSERT_EQ(synth::parse_objective_expr(axis, e), "") << axis;
+    spec.add_objective(std::move(e));
+  }
+  obs::MetricsRegistry reg;
+  dse::ParallelExploreOptions opts;
+  opts.threads = 2;
+  opts.common.metrics = &reg;
+  const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
+  ASSERT_TRUE(r.base.stats.complete);
+  std::uint64_t conflicts = 0;
+  std::uint64_t implications = 0;
+  for (const dse::WorkerReport& w : r.workers) {
+    conflicts += w.residual_conflicts;
+    implications += w.residual_implications;
+  }
+  EXPECT_EQ(r.base.stats.residual_conflicts, conflicts);
+  EXPECT_EQ(r.base.stats.residual_implications, implications);
+  EXPECT_GT(implications, 0U);  // the weighted bound propagates
+  EXPECT_EQ(reg.counter("explore.residual_conflicts").value(), conflicts);
+  EXPECT_EQ(reg.counter("explore.residual_implications").value(),
+            implications);
 }
 
 TEST(Obs, ParallelMetricsMatchAggregatedStats) {

@@ -487,7 +487,9 @@ int explore_incremental(const synth::Specification& spec, const Args& args) {
             << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
             << util::fmt(r.base.stats.seconds, 3) << "s, "
             << r.base.stats.models << " models, " << r.base.stats.prunings
-            << " prunings)\n";
+            << " prunings, " << r.base.stats.residual_conflicts
+            << " residual conflicts, " << r.base.stats.residual_implications
+            << " residual implications)\n";
   print_warm_stats(r.base.stats);
   print_run_errors(r.base.errors);
   print_front(spec, r.base.front);
@@ -543,7 +545,9 @@ int explore_portfolio(const synth::Specification& spec, const Args& args) {
             << ", stopped: " << dse::to_string(r.base.stats.reason) << ", "
             << util::fmt(r.base.stats.seconds, 3) << "s, "
             << r.base.stats.models << " models, " << r.base.stats.prunings
-            << " prunings)\n";
+            << " prunings, " << r.base.stats.residual_conflicts
+            << " residual conflicts, " << r.base.stats.residual_implications
+            << " residual implications)\n";
   print_warm_stats(r.base.stats);
   print_run_errors(r.base.errors);
   print_front(spec, r.base.front);
@@ -664,8 +668,9 @@ int cmd_shard_worker(const Args& args) {
     const std::string err = dse::load_checkpoint(resume_path, ckpt);
     if (!err.empty()) {
       std::cerr << "shard-resume rejected: " << err << "; starting cold\n";
-    } else if (!dse::checkpoint_matches(ckpt, spec)) {
-      std::cerr << "shard-resume rejected: spec mismatch; starting cold\n";
+    } else if (const std::string why = dse::checkpoint_mismatch(ckpt, spec);
+               !why.empty()) {
+      std::cerr << "shard-resume rejected: " << why << "; starting cold\n";
     } else {
       for (std::size_t i = 0; i < ckpt.points.size(); ++i) {
         if (i >= ckpt.witnesses.size() ||
