@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "asp/literal.hpp"
+#include "asp/proof.hpp"
 
 namespace aspmt::asp {
 
@@ -42,13 +43,15 @@ inline constexpr std::uint32_t kDeletedBit = 1U << 30;
 inline constexpr std::uint32_t kRelocedBit = 1U << 31;
 inline constexpr std::uint32_t kSizeMask = kLearntBit - 1;
 // The literals follow the header word immediately; LBD and activity live
-// in a two-word *trailer* behind them.  Propagation only ever reads the
-// header word and literals, so keeping the bookkeeping out of that span
-// tightens the bytes actually touched per clause visit.  Once a clause is
-// relocated, literal slot 0 is reused for the forwarding ClauseRef (the
-// stale copy is never read as a clause again).
+// in a two-word *trailer* behind them, and arenas of proof-logging solvers
+// append a third trailer word, the clause's proof id.  Propagation only
+// ever reads the header word and literals, so keeping the bookkeeping out
+// of that span tightens the bytes actually touched per clause visit.  Once
+// a clause is relocated, literal slot 0 is reused for the forwarding
+// ClauseRef (the stale copy is never read as a clause again).
 inline constexpr std::uint32_t kHeaderWords = 1;
 inline constexpr std::uint32_t kTrailerWords = 2;
+inline constexpr std::uint32_t kProofIdWords = 1;
 }  // namespace clause_detail
 
 /// Non-owning view of one clause inside the arena.  Handles are cheap to
@@ -112,6 +115,10 @@ class Clause {
   [[nodiscard]] std::size_t activity_slot() const noexcept {
     return lbd_slot() + 1;
   }
+  /// Only arenas that keep proof ids have this slot.
+  [[nodiscard]] std::size_t proof_id_slot() const noexcept {
+    return activity_slot() + 1;
+  }
 
   void mark_deleted() noexcept {
     set_raw(0, raw(0).index() | clause_detail::kDeletedBit);
@@ -141,12 +148,20 @@ inline constexpr ClauseRef kWatcherBinaryFlag = 0x80000000U;
 /// Bump allocator for clauses with mark-and-compact garbage collection.
 class ClauseArena {
  public:
+  /// `proof_ids`: give every clause a trailer word for its proof id.  Only
+  /// proof-logging solvers pay for it.
+  explicit ClauseArena(bool proof_ids = false) noexcept
+      : trailer_words_(clause_detail::kTrailerWords +
+                       (proof_ids ? clause_detail::kProofIdWords : 0)) {}
+
   /// Allocate a clause; returns its offset.  References returned earlier
-  /// remain valid (the buffer grows, offsets do not change).
-  ClauseRef alloc(std::span<const Lit> lits, bool learnt) {
+  /// remain valid (the buffer grows, offsets do not change).  `id` is kept
+  /// only by arenas that keep proof ids.
+  ClauseRef alloc(std::span<const Lit> lits, bool learnt,
+                  ProofId id = kNoProofId) {
     assert(lits.size() <= clause_detail::kSizeMask);
-    const std::size_t need = clause_detail::kHeaderWords + lits.size() +
-                             clause_detail::kTrailerWords;
+    const std::size_t need =
+        clause_detail::kHeaderWords + lits.size() + trailer_words_;
     assert(mem_.size() + need < kWatcherBinaryFlag &&
            "clause arena exceeds 31-bit addressing");
     const auto ref = static_cast<ClauseRef>(mem_.size());
@@ -158,7 +173,20 @@ class ClauseArena {
     for (std::size_t i = 0; i < lits.size(); ++i) c[i] = lits[i];
     c.set_lbd(0);
     c.set_activity(0.0F);
+    if (keeps_proof_ids()) c.set_raw(c.proof_id_slot(), id);
     return ref;
+  }
+
+  [[nodiscard]] bool keeps_proof_ids() const noexcept {
+    return trailer_words_ > clause_detail::kTrailerWords;
+  }
+
+  /// The proof id the clause was allocated with; kNoProofId when this arena
+  /// keeps no ids.
+  [[nodiscard]] ProofId proof_id(ClauseRef ref) const noexcept {
+    if (!keeps_proof_ids()) return kNoProofId;
+    const Clause c = (*this)[ref];
+    return c.raw(c.proof_id_slot()).index();
   }
 
   [[nodiscard]] Clause operator[](ClauseRef ref) noexcept {
@@ -176,8 +204,7 @@ class ClauseArena {
     Clause c = (*this)[ref];
     assert(!c.deleted());
     c.mark_deleted();
-    wasted_ += clause_detail::kHeaderWords + c.size() +
-               clause_detail::kTrailerWords;
+    wasted_ += clause_detail::kHeaderWords + c.size() + trailer_words_;
   }
 
   /// Move the clause behind `ref` into arena `to` (first visit copies and
@@ -190,7 +217,7 @@ class ClauseArena {
       return;
     }
     assert(!c.deleted());
-    const ClauseRef nr = to.alloc(c.lits(), c.learnt());
+    const ClauseRef nr = to.alloc(c.lits(), c.learnt(), proof_id(ref));
     Clause nc = to[nr];
     nc.set_lbd(c.lbd());
     nc.set_activity(c.activity());
@@ -226,11 +253,13 @@ class ClauseArena {
   friend void swap(ClauseArena& a, ClauseArena& b) noexcept {
     a.mem_.swap(b.mem_);
     std::swap(a.wasted_, b.wasted_);
+    std::swap(a.trailer_words_, b.trailer_words_);
   }
 
  private:
   std::vector<Lit> mem_;
   std::size_t wasted_ = 0;
+  std::uint32_t trailer_words_;
 };
 
 /// Watcher entry: the watched clause plus a "blocker" literal whose truth

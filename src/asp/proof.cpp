@@ -114,8 +114,21 @@ void ProofLog::def_rule(Lit head, Lit body, std::span<const Lit> positive_heads)
   buf_ += '\n';
 }
 
-void ProofLog::theory_clause(const TheoryJustification& just,
-                             std::span<const Lit> lits) {
+ProofId ProofLog::learnt_clause(std::span<const Lit> lits,
+                               std::span<const ProofId> hints) {
+  buf_ += 'L';
+  for (const Lit l : lits) append_lit(l);
+  buf_ += " 0";
+  if (!hints.empty()) {
+    for (const ProofId h : hints) append_int(h);
+    buf_ += " 0";
+  }
+  buf_ += '\n';
+  return next_id();
+}
+
+ProofId ProofLog::theory_clause(const TheoryJustification& just,
+                                std::span<const Lit> lits) {
   buf_ += 'T';
   switch (just.tag) {
     case TheoryTag::DiffCycle: buf_ += " DC"; break;
@@ -130,13 +143,15 @@ void ProofLog::theory_clause(const TheoryJustification& just,
   buf_ += " ;";
   for (const Lit l : lits) append_lit(l);
   buf_ += " 0\n";
+  return next_id();
 }
 
-void ProofLog::guarded_clause(Lit guard, std::span<const Lit> lits) {
+ProofId ProofLog::guarded_clause(Lit guard, std::span<const Lit> lits) {
   buf_ += 'G';
   append_lit(guard);
   for (const Lit l : lits) append_lit(l);
   buf_ += " 0\n";
+  return next_id();
 }
 
 void ProofLog::feasible_point(std::span<const std::int64_t> point) {

@@ -41,7 +41,10 @@
 //                                    negatively in axioms, so any model of
 //                                    the original system extends with
 //                                    guard=false and Unsat is preserved.
-//   L  <lit>* 0                      learnt clause, RUP-checkable
+//   L  <lit>* 0 [<hint>* 0]          learnt clause, RUP-checkable; the
+//                                    optional hints are the ids of its
+//                                    antecedent clauses in propagation
+//                                    order, the conflicting clause last
 //   T  <tag> <payload>* ; <lit>* 0   theory lemma with justification
 //   D  <lit>* 0                      clause deletion
 //   U  <lit>* 0                      Unsat conclusion under assumptions
@@ -50,9 +53,19 @@
 //   F  <k> <v>* 0                    feasible objective vector published
 //   X  0                             stream truncated (budget/interrupt);
 //                                    everything above remains checkable
+//
+// Clause ids: the clause-introducing steps (I, G, L, T) are numbered 1, 2,
+// 3, ... in stream order; no line carries its own id, writer and checker
+// both count.  Hints reference these ids.  Deleting a clause does not free
+// its id.  A hint list only speeds the checker up: one it cannot follow (an
+// unknown or later id, a clause no longer in the database, a clause that
+// is neither unit nor false when reached, no conflict at the end) sends it
+// back to full RUP search, so hints never change which proofs are
+// accepted, and removing every hint list yields a valid proof.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -74,6 +87,11 @@ enum class TheoryTag : std::uint8_t {
   CombinatorBound,  ///< combinator-axis lower bound exceeds a declared OB bound
 };
 
+/// 1-based ordinal of a clause-introducing step (I, G, L, T) in its stream.
+using ProofId = std::uint32_t;
+/// "No id": the clause was not logged (or the id space is exhausted).
+inline constexpr ProofId kNoProofId = 0;
+
 struct TheoryJustification {
   TheoryTag tag;
   /// Tag-specific integers (bounds, node/sum ids, points, head literals).
@@ -81,7 +99,7 @@ struct TheoryJustification {
 };
 
 /// Append-only proof stream.  Not thread-safe: in portfolio solving every
-/// worker owns its own log.
+/// worker owns its own log.  Every clause-introducing step returns its id.
 class ProofLog {
  public:
   ProofLog() { buf_ = "p aspmt 1\n"; }
@@ -106,15 +124,20 @@ class ProofLog {
   void def_rule(Lit head, Lit body, std::span<const Lit> positive_heads);
 
   // ---- inference steps ----------------------------------------------------
-  void input_clause(std::span<const Lit> lits) { clause_step('I', lits); }
+  ProofId input_clause(std::span<const Lit> lits) {
+    clause_step('I', lits);
+    return next_id();
+  }
   /// Replayed clause installed behind an assumption guard: logs
   /// `G <guard> <lits> 0`, meaning the clause (-guard v lits) holds by
   /// construction.  See the format doc for the purity conditions the
   /// checker enforces.
-  void guarded_clause(Lit guard, std::span<const Lit> lits);
-  void learnt_clause(std::span<const Lit> lits) { clause_step('L', lits); }
+  ProofId guarded_clause(Lit guard, std::span<const Lit> lits);
+  /// `L <lits> 0`, followed by `<hints> 0` when `hints` is non-empty.
+  ProofId learnt_clause(std::span<const Lit> lits,
+                        std::span<const ProofId> hints = {});
   void delete_clause(std::span<const Lit> lits) { clause_step('D', lits); }
-  void theory_clause(const TheoryJustification& just, std::span<const Lit> lits);
+  ProofId theory_clause(const TheoryJustification& just, std::span<const Lit> lits);
   void conclude_unsat(std::span<const Lit> assumptions) {
     clause_step('U', assumptions);
   }
@@ -132,8 +155,14 @@ class ProofLog {
   void clause_step(char kind, std::span<const Lit> lits);
   void append_lit(Lit l);
   void append_int(std::int64_t v);
+  /// Count one more clause-introducing step; kNoProofId once ids run out.
+  ProofId next_id() noexcept {
+    if (clauses_ == std::numeric_limits<ProofId>::max()) return kNoProofId;
+    return ++clauses_;
+  }
 
   std::string buf_;
+  ProofId clauses_ = 0;  // clause-introducing steps logged so far
 };
 
 /// Signed 1-based integer encoding of a literal (DIMACS convention).

@@ -37,8 +37,15 @@ Var Solver::new_var() {
   return v;
 }
 
-ClauseRef Solver::allocate(std::span<const Lit> lits, bool learnt) {
-  return arena_.alloc(lits, learnt);
+void Solver::set_proof(ProofLog* proof) noexcept {
+  proof_ = proof;
+  // The id trailer can only be switched while the arena is empty; a log
+  // attached later gets hint-less learnt steps.
+  if (arena_.size_words() == 0) arena_ = ClauseArena(proof != nullptr);
+}
+
+ClauseRef Solver::allocate(std::span<const Lit> lits, bool learnt, ProofId id) {
+  return arena_.alloc(lits, learnt, id);
 }
 
 void Solver::attach(ClauseRef cref) {
@@ -52,6 +59,10 @@ void Solver::attach(ClauseRef cref) {
 }
 
 bool Solver::add_clause(std::vector<Lit> lits) {
+  return add_root_clause(std::move(lits), /*log_input=*/true, kNoProofId);
+}
+
+bool Solver::add_root_clause(std::vector<Lit> lits, bool log_input, ProofId id) {
   assert(decision_level() == 0);
   if (!ok_) return false;
   std::sort(lits.begin(), lits.end());
@@ -68,7 +79,7 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   }
   // Log the full clause, not the root-simplified one: the checker re-derives
   // the simplification from its own root propagation.
-  if (proof_ != nullptr) proof_->input_clause(lits);
+  if (log_input && proof_ != nullptr) id = proof_->input_clause(lits);
   if (c.empty()) {
     ok_ = false;
     return false;
@@ -78,7 +89,7 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     if (propagate_clauses() != kClauseRefUndef) ok_ = false;
     return ok_;
   }
-  const ClauseRef cref = allocate(c, /*learnt=*/false);
+  const ClauseRef cref = allocate(c, /*learnt=*/false, id);
   problem_clauses_.push_back(cref);
   attach(cref);
   return true;
@@ -99,14 +110,12 @@ Lit Solver::add_guarded_clauses(std::span<const std::vector<Lit>> clauses,
     g.reserve(c.size() + 1);
     g.push_back(~guard);
     g.insert(g.end(), c.begin(), c.end());
-    // add_clause would log the clause as an `I` axiom; a replayed clause is
-    // only axiomatic *under its guard*, so detach the log around the install
-    // and emit the `G` step (full, unsimplified tail) ourselves.
-    ProofLog* const saved = proof_;
-    proof_ = nullptr;
-    add_clause(std::move(g));
-    proof_ = saved;
-    if (saved != nullptr) saved->guarded_clause(guard, c);
+    // A replayed clause is only axiomatic *under its guard*: log the `G`
+    // step (full, unsimplified tail) instead of the `I` step add_clause
+    // would write.
+    const ProofId id =
+        proof_ != nullptr ? proof_->guarded_clause(guard, c) : kNoProofId;
+    add_root_clause(std::move(g), /*log_input=*/false, id);
     ++count;
   }
   if (installed != nullptr) *installed = count;
@@ -156,11 +165,12 @@ void Solver::add_propagator(TheoryPropagator* propagator) {
 bool Solver::add_theory_clause(std::span<const Lit> in,
                                const TheoryJustification* just) {
   ++stats_.theory_clauses;
-  std::vector<Lit> lits(in.begin(), in.end());
+  std::vector<Lit>& lits = theory_lits_;
+  lits.assign(in.begin(), in.end());
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  std::vector<Lit> c;
-  c.reserve(lits.size());
+  std::vector<Lit>& c = theory_clause_;
+  c.clear();
   for (std::size_t i = 0; i < lits.size(); ++i) {
     const Lit l = lits[i];
     if (i + 1 < lits.size() && lits[i + 1] == ~l) return true;  // tautology
@@ -169,12 +179,13 @@ bool Solver::add_theory_clause(std::span<const Lit> in,
     if (v == Lbool::False && level(l.var()) == 0) continue;    // permanently false
     c.push_back(l);
   }
+  ProofId id = kNoProofId;
   if (proof_ != nullptr) {
     // An untagged lemma cannot be replayed; skipping it makes later RUP
     // steps that depend on it fail, so certification fails closed instead
     // of silently trusting the propagator.
     assert(just != nullptr && "proof-logged theory lemma needs a justification");
-    if (just != nullptr) proof_->theory_clause(*just, lits);
+    if (just != nullptr) id = proof_->theory_clause(*just, lits);
   }
   if (c.empty()) {
     ok_ = false;
@@ -190,7 +201,7 @@ bool Solver::add_theory_clause(std::span<const Lit> in,
       return level(a.var()) > level(b.var());
     return a < b;
   });
-  const ClauseRef cref = allocate(c, /*learnt=*/true);
+  const ClauseRef cref = allocate(c, /*learnt=*/true, id);
   Clause cl = arena_[cref];
   cl.set_lbd(compute_lbd(cl.lits()));
   if (cl.size() >= 2) {
@@ -362,6 +373,12 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
   std::vector<Lit>& to_clear = minimize_stack_;
   to_clear.clear();
 
+  const bool hinting = proof_ != nullptr;
+  if (hinting) {
+    resolved_.clear();
+    removed_.clear();
+  }
+
   int counter = 0;
   Lit p = kLitUndef;
   ClauseRef cref = conflict;
@@ -369,6 +386,7 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
 
   do {
     assert(cref != kClauseRefUndef);
+    if (hinting) resolved_.push_back(cref);
     Clause c = arena_[cref];
     // Binary reasons enqueue the watcher blocker, which may be stored as
     // c[1]; put the implied literal first so the skip below stays valid.
@@ -404,9 +422,14 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
   // only of literals already in the learnt clause (or fixed at the root).
   std::size_t out = 1;
   for (std::size_t i = 1; i < learnt.size(); ++i) {
-    if (!literal_redundant(learnt[i])) learnt[out++] = learnt[i];
+    if (!literal_redundant(learnt[i])) {
+      learnt[out++] = learnt[i];
+    } else if (hinting) {
+      removed_.push_back(learnt[i]);
+    }
   }
   learnt.resize(out);
+  if (hinting) collect_hints();
 
   for (const Lit q : to_clear) seen_[q.var()] = 0;
   seen_[p.var()] = 0;
@@ -440,16 +463,61 @@ bool Solver::literal_redundant(Lit l) {
   return true;
 }
 
-void Solver::record_learnt(std::vector<Lit> learnt, std::uint32_t bt_level) {
+void Solver::collect_hints() {
+  // The checker assigns the negated learnt clause and then needs every hint
+  // to be unit or conflicting when it reaches it.  Reasons of literals that
+  // minimization removed come first: such a reason may rest on another
+  // removed literal, so a depth-first walk emits each one after the reasons
+  // it depends on.  seen_ marks removed literals 2 (pending), 3 (open), 4
+  // (emitted); to_clear resets them with the rest.  Level-0 literals are
+  // never resolved, so their reasons never appear: the checker's root
+  // assignment covers them.
+  hints_.clear();
+  for (const Lit q : removed_) seen_[q.var()] = 2;
+  for (const Lit q : removed_) {
+    hint_stack_.assign(1, q.var());
+    while (!hint_stack_.empty()) {
+      const Var v = hint_stack_.back();
+      char& mark = seen_[v];
+      if (mark == 4) {
+        hint_stack_.pop_back();
+      } else if (mark == 3) {
+        mark = 4;
+        hint_stack_.pop_back();
+        hints_.push_back(arena_.proof_id(vardata_[v].reason));
+      } else {
+        mark = 3;
+        for (const Lit r : arena_[vardata_[v].reason].lits()) {
+          if (r.var() != v && seen_[r.var()] == 2) hint_stack_.push_back(r.var());
+        }
+      }
+    }
+  }
+  // Then the clauses analyze resolved on, in trail order, and the
+  // conflicting clause last: resolved_ holds them in the opposite order.
+  for (auto it = resolved_.rbegin(); it != resolved_.rend(); ++it) {
+    hints_.push_back(arena_.proof_id(*it));
+  }
+}
+
+void Solver::record_learnt(const std::vector<Lit>& learnt, std::uint32_t bt_level) {
   cancel_until(bt_level);
   ++stats_.learnt_clauses;
-  if (proof_ != nullptr) proof_->learnt_clause(learnt);
+  ProofId id = kNoProofId;
+  if (proof_ != nullptr) {
+    // A reason logged without an id (before the log was attached) leaves
+    // the chain incomplete: log the step without hints.
+    const bool complete =
+        std::find(hints_.begin(), hints_.end(), kNoProofId) == hints_.end();
+    id = proof_->learnt_clause(learnt, complete ? std::span<const ProofId>(hints_)
+                                                : std::span<const ProofId>{});
+  }
   if (learnt.size() == 1) {
     assert(bt_level == 0);
     enqueue(learnt[0], kClauseRefUndef);
     return;
   }
-  const ClauseRef cref = allocate(learnt, /*learnt=*/true);
+  const ClauseRef cref = allocate(learnt, /*learnt=*/true, id);
   Clause c = arena_[cref];
   c.set_lbd(compute_lbd(c.lits()));
   c.bump_activity(clause_inc_);
@@ -536,7 +604,7 @@ void Solver::maybe_garbage_collect() {
 
 void Solver::garbage_collect() {
   assert(pending_conflict_ == kClauseRefUndef);
-  ClauseArena to;
+  ClauseArena to(arena_.keeps_proof_ids());
   to.reserve(arena_.size_words() - arena_.wasted_words());
 
   // Relocation order fixes the new layout: reasons first (they are the
@@ -639,8 +707,7 @@ Solver::Result Solver::search(std::span<const Lit> assumptions,
       if (max_level < decision_level()) cancel_until(max_level);
       std::uint32_t bt_level = 0;
       analyze(conflict, learnt, bt_level);
-      record_learnt(std::move(learnt), bt_level);
-      learnt = {};
+      record_learnt(learnt, bt_level);
       heuristic_.decay();
       clause_inc_ *= 1.0F / 0.999F;
       if (clause_inc_ > 1e20F) {

@@ -202,8 +202,9 @@ class Solver {
 
   /// Attach a proof log (nullptr detaches).  Must be set before any clause
   /// is added so the trace covers the whole session; the pointee must
-  /// outlive every solver call.
-  void set_proof(ProofLog* proof) noexcept { proof_ = proof; }
+  /// outlive every solver call.  From then on every clause keeps its proof
+  /// id, and learnt steps are logged with their antecedents' ids as hints.
+  void set_proof(ProofLog* proof) noexcept;
   [[nodiscard]] ProofLog* proof() const noexcept { return proof_; }
 
   /// Bump decision priority of a variable (domain heuristics).
@@ -235,7 +236,8 @@ class Solver {
   [[nodiscard]] ClauseRef propagate_clauses();
   void analyze(ClauseRef conflict, std::vector<Lit>& learnt, std::uint32_t& bt_level);
   [[nodiscard]] bool literal_redundant(Lit l);
-  void record_learnt(std::vector<Lit> learnt, std::uint32_t bt_level);
+  void collect_hints();
+  void record_learnt(const std::vector<Lit>& learnt, std::uint32_t bt_level);
   void enqueue(Lit l, ClauseRef reason);
   void cancel_until(std::uint32_t target_level);
   void new_decision_level() { trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size())); }
@@ -249,7 +251,12 @@ class Solver {
   [[nodiscard]] static std::uint64_t luby(std::uint64_t i) noexcept;
 
   /// Allocate a clause in the arena (literals are copied inline).
-  ClauseRef allocate(std::span<const Lit> lits, bool learnt);
+  ClauseRef allocate(std::span<const Lit> lits, bool learnt,
+                     ProofId id = kNoProofId);
+  /// add_clause's body.  With `log_input` the clause is logged as an `I`
+  /// step; otherwise the caller logged it under `id` (kNoProofId: not
+  /// logged).
+  bool add_root_clause(std::vector<Lit> lits, bool log_input, ProofId id);
 
   SolverOptions options_;
   SolverStats stats_;
@@ -279,12 +286,25 @@ class Solver {
   std::vector<char> seen_;
   std::vector<Lit> minimize_stack_;
 
+  // Hints of the clause being learnt (proof-logging solvers only): the
+  // clauses analyze resolved on, conflict first; the literals minimization
+  // removed; the ids in propagation order; and a DFS stack for ordering
+  // the removed literals' reasons.
+  std::vector<ClauseRef> resolved_;
+  std::vector<Lit> removed_;
+  std::vector<ProofId> hints_;
+  std::vector<Var> hint_stack_;
+
+  // add_theory_clause's buffers: the deduplicated clause and its
+  // root-simplified copy.
+  std::vector<Lit> theory_lits_;
+  std::vector<Lit> theory_clause_;
+
   std::vector<TheoryPropagator*> propagators_;
   ClauseRef pending_conflict_ = kClauseRefUndef;
   ProofLog* proof_ = nullptr;
 
   std::vector<Lbool> model_;
-  std::vector<Lit> root_units_;  // units injected/learnt, replayed after restarts
 
   double max_learnts_ = 0.0;
   float clause_inc_ = 1.0F;

@@ -82,6 +82,12 @@ class Line {
     return res.ec == std::errc{} && res.ptr == w.data() + w.size();
   }
 
+  /// Only whitespace is left.
+  [[nodiscard]] bool at_end() {
+    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t')) ++p_;
+    return p_ == end_;
+  }
+
   /// An item count: a non-negative integer no larger than the rest of the
   /// line could hold, so sizing a container by it cannot exhaust memory.
   bool count(std::int64_t& out) {
@@ -300,6 +306,85 @@ class Checker {
     return conflict || satisfied;
   }
 
+  /// Whether clause `id` is unit or false under the current assignment;
+  /// `unit` receives its open literal (0 when it is false).
+  [[nodiscard]] bool unit_or_false(std::uint32_t id, Lit& unit) const {
+    const Clause& c = clauses_[id];
+    const Lit* ls = arena_.data() + c.begin;
+    unit = 0;
+    for (std::uint32_t k = 0; k < c.size; ++k) {
+      const int v = value(ls[k]);
+      if (v == 1) return false;
+      if (v == 0) {
+        if (unit != 0) return false;
+        unit = ls[k];
+      }
+    }
+    return true;
+  }
+
+  /// An active clause other than `dead` that is unit on `unit` (or false,
+  /// for unit 0) right now, searched on the watch lists of `dead`'s
+  /// literals.  A D step names its clause by literal set, and the solver
+  /// logs a root-simplified clause's deletion with the simplified set, so
+  /// the deletion index can retire a different copy of a clause than the
+  /// solver did: the copy the solver kept then watches the same open
+  /// literals.
+  [[nodiscard]] bool live_copy(std::uint32_t dead, Lit unit) const {
+    const Clause& d = clauses_[dead];
+    for (std::uint32_t k = 0; k < d.size; ++k) {
+      for (const Watch& w : watch_[lit_index(arena_[d.begin + k])]) {
+        Lit u = 0;
+        if (w.clause != dead && clauses_[w.clause].active &&
+            unit_or_false(w.clause, u) && u == unit) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// The hint walk: assert the negation of `clause`, then visit the hinted
+  /// clauses in order.  Each must be active and unit (its open literal is
+  /// assigned) or false (the conflict: the clause is verified); a hint
+  /// naming a step that stored no clause is passed over.  Anything else —
+  /// an unknown or later id, a satisfied or non-unit clause, a deleted
+  /// clause with no live copy, hints running out first — returns false, and
+  /// the caller falls back to rup().  A walk that succeeds is a
+  /// unit-propagation derivation over active database clauses, so it
+  /// accepts nothing rup() would reject.
+  [[nodiscard]] bool walk_hints(const Lits& clause) {
+    if (root_conflict_) return true;
+    const std::size_t save = trail_.size();
+    bool closed = false;
+    for (const std::int64_t l : clause) {
+      const int v = value(l);
+      if (v == 1) {  // satisfied at root, as in rup()
+        closed = true;
+        break;
+      }
+      if (v == 0) assign(-l);
+    }
+    for (std::size_t i = 0; i < hints_.size() && !closed; ++i) {
+      const std::int64_t h = hints_[i];
+      if (h < 1 || h > static_cast<std::int64_t>(step_clause_.size())) break;
+      const std::uint32_t id = step_clause_[static_cast<std::size_t>(h - 1)];
+      // The step stored no clause: it was a root fact (or a tautology) when
+      // installed, and the root assignment already holds what it implies.
+      if (id == kNoClause) continue;
+      Lit unit = 0;
+      if (!unit_or_false(id, unit)) break;
+      if (!clauses_[id].active && !live_copy(id, unit)) break;
+      if (unit == 0) {
+        closed = true;
+      } else {
+        assign(unit);
+      }
+    }
+    undo_to(save);
+    return closed;
+  }
+
   /// The clause set is contradictory once all `assumptions` are asserted.
   [[nodiscard]] bool refutes_assumptions(const Lits& assumptions) {
     if (root_conflict_) return true;
@@ -317,9 +402,11 @@ class Checker {
   }
 
   /// Add a verified/axiomatic clause to the database and restore the root
-  /// fixpoint.  `lits` must be canonical.  A clause that is unit or false
-  /// under the root assignment acts once, as a root fact, and is not stored.
+  /// fixpoint, recording it under the next clause id.  `lits` must be
+  /// canonical.  A clause that is unit or false under the root assignment
+  /// acts once, as a root fact, and is not stored (its id names no clause).
   void install(const Lits& lits) {
+    step_clause_.push_back(kNoClause);
     if (root_conflict_ || is_tautology(lits)) return;
     if (lits.empty()) {
       root_conflict_ = true;
@@ -346,6 +433,7 @@ class Checker {
     c.size = static_cast<std::uint32_t>(lits.size());
     c.hash = set_hash(lits);
     clauses_.push_back(c);
+    step_clause_.back() = id;
     watch_[lit_index(ls[0])].push_back({id, ls[1]});
     watch_[lit_index(ls[1])].push_back({id, ls[0]});
     index_clause(id);
@@ -704,6 +792,21 @@ class Checker {
     return unterminated;
   }
 
+  /// Read a learnt step's optional hint list into hints_: the ids after the
+  /// clause's terminating 0, up to a second 0.  Returns nullptr on success
+  /// (no tokens at all means no hints), otherwise why the list is malformed.
+  /// Ids are not checked here: an unusable one only sends the step to RUP.
+  [[nodiscard]] const char* read_hints(Line& line) {
+    hints_.clear();
+    std::int64_t h = 0;
+    while (!line.at_end()) {
+      if (!line.integer(h)) return "malformed hint";
+      if (h == 0) return nullptr;
+      hints_.push_back(h);
+    }
+    return hints_.empty() ? nullptr : "unterminated hint list";
+  }
+
   /// Read the literal (or variable) of a declaration, under the same range
   /// contract as read_lits.
   [[nodiscard]] bool read_lit(Line& line, std::int64_t& out) {
@@ -859,6 +962,9 @@ class Checker {
   std::vector<std::vector<Watch>> watch_;  // by lit_index
   std::vector<Lit> arena_;                 // literals of every stored clause
   std::vector<Clause> clauses_;
+  /// Clause id (1-based step ordinal) - 1 -> index into clauses_, or
+  /// kNoClause when the step stored no clause.
+  std::vector<std::uint32_t> step_clause_;
   std::vector<std::uint32_t> buckets_;  // deletion index: chain heads
   std::size_t indexed_ = 0;             // active clauses in the index
   bool root_conflict_ = false;
@@ -869,6 +975,7 @@ class Checker {
   std::vector<std::int64_t> dist_;
   std::vector<const Edge*> live_;
   std::vector<std::int64_t> payload_;
+  std::vector<std::int64_t> hints_;  // of the learnt step being checked
 
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> sums_;
   std::set<std::array<std::int64_t, 3>> sum_bounds_;
@@ -927,8 +1034,15 @@ CheckResult Checker::run(std::string_view proof) {
       }
       canonicalize(lits);
       if (kind == "L") {
+        if (const char* bad = read_hints(line)) return fail(bad);
         const Clock::time_point start = Clock::now();
-        const bool ok = rup(lits);
+        bool ok = !hints_.empty() && walk_hints(lits);
+        if (ok) {
+          ++result_.hinted_learnts;
+        } else {
+          ++result_.rup_fallbacks;
+          ok = rup(lits);
+        }
         result_.rup_seconds += seconds_since(start);
         if (!ok) return fail("learnt clause is not RUP");
         ++result_.learnt_clauses;
@@ -992,7 +1106,13 @@ CheckResult Checker::run(std::string_view proof) {
       }
       const Clock::time_point start = Clock::now();
       const std::string why = verify_lemma(tag, payload_, lits);
-      result_.theory_seconds += seconds_since(start);
+      const double took = seconds_since(start);
+      result_.theory_seconds += took;
+      const auto* slot = std::find(kTheoryTags.begin(), kTheoryTags.end(), tag);
+      if (slot != kTheoryTags.end()) {
+        result_.theory_tag_seconds[static_cast<std::size_t>(
+            slot - kTheoryTags.begin())] += took;
+      }
       if (!why.empty()) return fail("theory lemma rejected: " + why);
       ++result_.theory_lemmas;
       install(lits);

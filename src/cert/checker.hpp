@@ -4,7 +4,9 @@
 // The checker shares no code with the solver: it re-parses the trace into
 // its own clause database with its own watched-literal unit propagation,
 // verifies every learnt clause by RUP (asserting the negation and
-// propagating to a conflict), re-derives every theory lemma from the
+// propagating to a conflict — over just the hinted antecedent clauses when
+// the step names them, by full unit propagation otherwise), re-derives
+// every theory lemma from the
 // declared theory data alone (sum/edge/bound/rule/objective declarations),
 // and discharges every Unsat conclusion by asserting its assumptions and
 // propagating.  A proof that survives makes the solver's Unsat answers —
@@ -25,6 +27,10 @@
 #include <vector>
 
 namespace aspmt::cert {
+
+/// The theory-lemma tags, in the order of CheckResult::theory_tag_seconds.
+inline constexpr std::array<std::string_view, 7> kTheoryTags = {
+    "LS", "LL", "DB", "DC", "UF", "DOM", "CB"};
 
 struct CheckOptions {
   /// Demand a global (assumption-free) Unsat conclusion in the stream —
@@ -61,17 +67,25 @@ struct CheckResult {
   /// system extends with guard=false and Unsat conclusions carry over.
   std::size_t guarded_clauses = 0;
   std::size_t learnt_clauses = 0;
+  /// Learnt steps whose hints closed the conflict on their own.
+  std::size_t hinted_learnts = 0;
+  /// Learnt steps that needed full RUP search: they carried no hints, or
+  /// their hints named an unknown, deleted or later clause, reached a
+  /// satisfied or non-unit clause, or ran out before a conflict.
+  std::size_t rup_fallbacks = 0;
   std::size_t theory_lemmas = 0;
   std::size_t deletions = 0;
   std::size_t conclusions = 0;
   std::size_t feasible_points = 0;
-  /// Literals assigned while checking learnt clauses by RUP and Unsat
-  /// conclusions by propagation: the work behind rup_seconds.
+  /// Literals assigned while checking learnt clauses (hint walks and RUP)
+  /// and Unsat conclusions by propagation: the work behind rup_seconds.
   std::size_t propagations = 0;
-  /// Wall seconds spent in those RUP and conclusion checks.
+  /// Wall seconds spent in those learnt-clause and conclusion checks.
   double rup_seconds = 0.0;
   /// Wall seconds spent re-deriving theory lemmas from the declarations.
   double theory_seconds = 0.0;
+  /// theory_seconds split by lemma tag, in kTheoryTags order.
+  std::array<double, kTheoryTags.size()> theory_tag_seconds{};
   /// With CheckOptions::shard_objective set: closed intervals [lo, hi] of
   /// the shard objective proven empty modulo dominance — each comes from a
   /// verified Unsat conclusion whose assumptions are *pure* box activations

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "synth/objective_expr.hpp"
 
 namespace aspmt::dse {
 
@@ -138,10 +137,17 @@ std::int64_t ObjectiveTerm::lower_bound() const {
     case Kind::Difference:
       return difference_->lower_bound(node_);
     case Kind::Lex: {
-      std::vector<std::int64_t> lbs;
-      lbs.reserve(children_.size());
-      for (const ObjectiveTerm& c : children_) lbs.push_back(c.lower_bound());
-      return synth::lex_pack(lbs, params_);
+      // synth::lex_pack folded in place (this runs on every propagation
+      // round): clamp each child into [0, cap], pack big-endian.  The lex
+      // factory makes caps and children equally long and the cap product
+      // fit an int64.
+      __int128 packed = 0;
+      for (std::size_t i = 0; i < children_.size(); ++i) {
+        const std::int64_t cap = params_[i];
+        packed = packed * (static_cast<__int128>(cap) + 1) +
+                 std::clamp<std::int64_t>(children_[i].lower_bound(), 0, cap);
+      }
+      return static_cast<std::int64_t>(packed);
     }
     case Kind::MinMax:
     case Kind::ScenarioWorst: {

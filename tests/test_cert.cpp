@@ -1,15 +1,28 @@
 // The certification layer itself: hand-written proofs exercise every step
 // kind of the checker, real explorer proofs must verify, and mutated real
 // proofs must be rejected — a checker that accepts everything would make
-// `certified: yes` meaningless.
+// `certified: yes` meaningless.  Learnt-step hints only change how fast a
+// verdict is reached: adversarial hint lists must never change it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "cert/certify.hpp"
 #include "cert/checker.hpp"
 #include "dse/explorer.hpp"
+#include "proof_hints.hpp"
+#include "synth/specio.hpp"
 #include "synth_fixtures.hpp"
+
+#ifndef ASPMT_TEST_DATA_DIR
+#error "tests/CMakeLists.txt must define ASPMT_TEST_DATA_DIR"
+#endif
 
 namespace aspmt {
 namespace {
@@ -199,6 +212,276 @@ TEST(ProofChecker, CountsPropagationsOfRupAndConclusionChecks) {
   EXPECT_EQ(r.theory_seconds, 0.0);
 }
 
+// ---- hinted learnt steps ------------------------------------------------------
+
+TEST(ProofHints, HintedStepIsClosedByItsHints) {
+  // Clause ids: 1 = (1 2), 2 = (1 -2).  L 1 asserts -1; hint 1 is then unit
+  // on 2 and hint 2 is false: two assignments, no search.
+  const auto r = check("p aspmt 1\nI 1 2 0\nI 1 -2 0\nL 1 0 1 2 0\nU -1 0\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.learnt_clauses, 1U);
+  EXPECT_EQ(r.hinted_learnts, 1U);
+  EXPECT_EQ(r.rup_fallbacks, 0U);
+  EXPECT_EQ(r.propagations, 2U);
+}
+
+TEST(ProofHints, StepsWithoutHintsNeedFullRup) {
+  for (const char* step : {"L 1 0\n", "L 1 0 0\n"}) {
+    const auto r = check(std::string("p aspmt 1\nI 1 2 0\nI 1 -2 0\n") + step);
+    ASSERT_TRUE(r.ok) << step << r.error;
+    EXPECT_EQ(r.hinted_learnts, 0U) << step;
+    EXPECT_EQ(r.rup_fallbacks, 1U) << step;
+  }
+}
+
+TEST(ProofHints, WalkWithoutConflictFallsBackToRup) {
+  // Hint 1 makes 2 true, but nothing conflicts: full RUP finds (1 -2).
+  const auto r = check("p aspmt 1\nI 1 2 0\nI 1 -2 0\nL 1 0 1 0\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.hinted_learnts, 0U);
+  EXPECT_EQ(r.rup_fallbacks, 1U);
+}
+
+TEST(ProofHints, UnusableHintsFallBackToRup) {
+  // Ids 1 = (1 2), 2 = (1 -2), 3 = (3 4 5), 4 = (-1 6); the learnt step is
+  // id 5.  Every hint list below fails the walk somewhere; the clause is
+  // RUP all the same.
+  const std::string base =
+      "p aspmt 1\nI 1 2 0\nI 1 -2 0\nI 3 4 5 0\nI -1 6 0\n";
+  for (const char* hints : {"-1 2", "1 -2", "5 2", "1 6", "1 4294967298",
+                            "1 9223372036854775807", "3 1 2", "4 1 2", "1 1 2"}) {
+    const auto r = check(base + "L 1 0 " + hints + " 0\n");
+    ASSERT_TRUE(r.ok) << hints << ": " << r.error;
+    EXPECT_EQ(r.hinted_learnts, 0U) << hints;
+    EXPECT_EQ(r.rup_fallbacks, 1U) << hints;
+  }
+}
+
+TEST(ProofHints, ForgedHintsCannotAdmitANonRupClause) {
+  const std::string base = "p aspmt 1\nI 1 2 0\nI 1 -2 0\n";
+  // (3) is no consequence of the two input clauses, whatever it cites.
+  for (const char* hints : {"1 2", "2 1", "2", "1 2 3", "3"}) {
+    const auto r = check(base + "L 3 0 " + hints + " 0\n");
+    EXPECT_FALSE(r.ok) << hints;
+    EXPECT_NE(r.error.find("line 4: learnt clause is not RUP"), std::string::npos)
+        << hints << ": " << r.error;
+  }
+  // Hint 1 is not unit under -3 (both 1 and 2 are open); a walk that
+  // assigned one of them anyway would reach a conflict on hint 2.
+  const auto open = check("p aspmt 1\nI 1 2 0\nI -1 3 0\nL 3 0 1 2 0\n");
+  EXPECT_FALSE(open.ok);
+  EXPECT_NE(open.error.find("line 4: learnt clause is not RUP"), std::string::npos)
+      << open.error;
+  // A deleted clause is out of the database even when a hint names it.
+  const auto deleted = check(base + "D 1 -2 0\nL 1 0 1 2 0\n");
+  EXPECT_FALSE(deleted.ok);
+  EXPECT_NE(deleted.error.find("line 5: learnt clause is not RUP"),
+            std::string::npos)
+      << deleted.error;
+}
+
+TEST(ProofHints, ADeletedCopyIsStandedInForByItsLiveTwin) {
+  // Ids 2 and 3 are the same clause; the D step retires one copy (3) and
+  // the walk uses the live one (2) in its place.
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI 1 -2 0\nI 1 -2 0\nD 1 -2 0\nL 1 0 1 3 0\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.hinted_learnts, 1U);
+  EXPECT_EQ(r.rup_fallbacks, 0U);
+}
+
+TEST(ProofHints, MalformedHintListsAreLineNumberedParseErrors) {
+  const std::string base = "p aspmt 1\nI 1 2 0\nI 1 -2 0\n";
+  const auto word = check(base + "L 1 0 1 x 0\n");
+  EXPECT_FALSE(word.ok);
+  EXPECT_NE(word.error.find("line 4: malformed hint"), std::string::npos)
+      << word.error;
+  const auto huge = check(base + "L 1 0 99999999999999999999 0\n");
+  EXPECT_FALSE(huge.ok);
+  EXPECT_NE(huge.error.find("line 4: malformed hint"), std::string::npos)
+      << huge.error;
+  const auto open = check(base + "L 1 0 1 2\n");
+  EXPECT_FALSE(open.ok);
+  EXPECT_NE(open.error.find("line 4: unterminated hint list"), std::string::npos)
+      << open.error;
+}
+
+TEST(ProofHints, TheoryTimeIsSplitByTag) {
+  // One LS lemma (see VerifiesLinearSumLemma): its time lands in the LS slot.
+  const auto r = check(
+      "p aspmt 1\nS 0 2 1 5 2 7\nSB 0 6 0\nT LS 0 6 0 ; -1 -2 0\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  double split = 0.0;
+  for (const double t : r.theory_tag_seconds) split += t;
+  EXPECT_DOUBLE_EQ(split, r.theory_seconds);
+  for (std::size_t i = 1; i < cert::kTheoryTags.size(); ++i) {
+    EXPECT_EQ(r.theory_tag_seconds[i], 0.0) << cert::kTheoryTags[i];
+  }
+  EXPECT_EQ(cert::kTheoryTags[0], "LS");
+}
+
+// A real explorer proof with deletions: a small learnt-database cap makes
+// the solver reduce (and log `D` steps) many times.
+std::string proof_with_deletions() {
+  const synth::Specification spec = synth::load_specification(
+      std::string(ASPMT_TEST_DATA_DIR) + "/examples/specs/mesh_small.txt");
+  dse::ExploreOptions opts;
+  opts.common.certify = true;
+  opts.common.solver_options.learnt_start = 40;
+  const dse::ExploreResult r = dse::explore(spec, opts);
+  EXPECT_TRUE(r.certified) << r.certificate_error;
+  return r.proof;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::int64_t> tokens(const std::string& text) {
+  std::vector<std::int64_t> out;
+  std::istringstream in(text);
+  std::int64_t v = 0;
+  while (in >> v) out.push_back(v);
+  return out;
+}
+
+/// A learnt line split at the clause's terminating 0.
+struct LearntLine {
+  std::string clause;              // "L <lits> 0"
+  std::vector<std::int64_t> hints;
+};
+
+LearntLine split_learnt(const std::string& line) {
+  const std::size_t end = test::clause_end(line);
+  LearntLine out{line.substr(0, end), {}};
+  out.hints = tokens(line.substr(end));
+  if (!out.hints.empty()) out.hints.pop_back();  // the list's own 0
+  return out;
+}
+
+std::string join_learnt(const LearntLine& l) {
+  std::string out = l.clause;
+  for (const std::int64_t h : l.hints) out += " " + std::to_string(h);
+  return l.hints.empty() ? out : out + " 0";
+}
+
+/// Rewrite every hinted learnt step with `mutate(hints, own_id, deleted)`:
+/// own_id is the step's clause id, deleted the id of the latest learnt
+/// clause a D step has retired by then (0: none yet).
+std::string mutate_hints(
+    const std::string& proof,
+    const std::function<void(std::vector<std::int64_t>&, std::int64_t,
+                             std::int64_t)>& mutate) {
+  std::string out;
+  std::int64_t id = 0;
+  std::int64_t deleted = 0;
+  std::map<std::vector<std::int64_t>, std::vector<std::int64_t>> learnt_ids;
+  for (const std::string& line : split_lines(proof)) {
+    const std::string kind = line.substr(0, line.find(' '));
+    std::string text = line;
+    if (kind == "I" || kind == "G" || kind == "T") ++id;
+    if (kind == "L") {
+      ++id;
+      LearntLine l = split_learnt(line);
+      std::vector<std::int64_t> key = tokens(l.clause.substr(1));
+      std::sort(key.begin(), key.end());
+      learnt_ids[key].push_back(id);
+      if (!l.hints.empty()) {
+        mutate(l.hints, id, deleted);
+        text = join_learnt(l);
+      }
+    }
+    if (kind == "D") {
+      std::vector<std::int64_t> key = tokens(line.substr(1));
+      std::sort(key.begin(), key.end());
+      auto it = learnt_ids.find(key);
+      if (it != learnt_ids.end() && !it->second.empty()) {
+        deleted = it->second.back();
+        it->second.pop_back();
+      }
+    }
+    out += text + "\n";
+  }
+  return out;
+}
+
+/// Same verdict, same error, same counts as the stripped proof.
+void expect_verdict_of_stripped(const std::string& proof, const std::string& what) {
+  const cert::CheckResult hinted = check(proof, true);
+  const cert::CheckResult stripped = check(test::strip_hints(proof), true);
+  EXPECT_EQ(hinted.ok, stripped.ok) << what << ": " << hinted.error;
+  EXPECT_EQ(hinted.error, stripped.error) << what;
+  EXPECT_EQ(test::step_counts(hinted), test::step_counts(stripped)) << what;
+}
+
+TEST(ProofHints, AdversarialHintsNeverChangeAVerdict) {
+  const std::string proof = proof_with_deletions();
+  const cert::CheckResult pristine = check(proof, true);
+  ASSERT_TRUE(pristine.ok) << pristine.error;
+  ASSERT_GT(pristine.deletions, 0U);
+  ASSERT_GT(pristine.learnt_clauses, 50U);
+  EXPECT_EQ(pristine.rup_fallbacks, 0U);
+
+  using Hints = std::vector<std::int64_t>;
+  const std::vector<std::pair<std::string,
+                              std::function<void(Hints&, std::int64_t, std::int64_t)>>>
+      mutations = {
+          {"dropped first", [](Hints& h, auto, auto) { h.erase(h.begin()); }},
+          {"dropped last", [](Hints& h, auto, auto) { h.pop_back(); }},
+          {"reordered", [](Hints& h, auto, auto) { std::reverse(h.begin(), h.end()); }},
+          {"out of range", [](Hints& h, auto, auto) { h.front() += 4294967296LL; }},
+          {"negative", [](Hints& h, auto, auto) { h.front() = -h.front(); }},
+          {"own id", [](Hints& h, std::int64_t own, auto) { h.back() = own; }},
+          {"future", [](Hints& h, std::int64_t own, auto) { h.front() = own + 1; }},
+          {"deleted",
+           [](Hints& h, auto, std::int64_t deleted) {
+             if (deleted != 0) h.front() = deleted;
+           }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    const std::string mutated = mutate_hints(proof, mutate);
+    expect_verdict_of_stripped(mutated, name);
+    // The mutation reached the walk: some steps had to fall back.
+    EXPECT_GT(check(mutated, true).rup_fallbacks, 0U) << name;
+  }
+}
+
+TEST(ProofHints, ANonRupClauseWithRealHintsIsRejected) {
+  // Negate one literal of a hinted learnt clause and keep its hints: the
+  // walk no longer closes, and RUP rejects the clause as it would without.
+  const std::string proof = proof_with_deletions();
+  std::vector<std::string> lines = split_lines(proof);
+  std::size_t forged = 0;
+  for (std::string& line : lines) {
+    if (line.rfind("L ", 0) != 0) continue;
+    LearntLine l = split_learnt(line);
+    std::vector<std::int64_t> lits = tokens(l.clause.substr(1));
+    lits.pop_back();
+    if (l.hints.empty() || lits.size() < 2) continue;
+    lits[0] = -lits[0];
+    std::string clause = "L";
+    for (const std::int64_t x : lits) clause += " " + std::to_string(x);
+    l.clause = clause + " 0";
+    const std::string original = line;
+    line = join_learnt(l);
+    std::string text;
+    for (const std::string& s : lines) text += s + "\n";
+    const cert::CheckResult r = check(text, true);
+    expect_verdict_of_stripped(text, "forged: " + line);
+    line = original;
+    if (!r.ok) {
+      EXPECT_NE(r.error.find("learnt clause is not RUP"), std::string::npos)
+          << r.error;
+      if (++forged == 3) break;
+    }
+  }
+  EXPECT_EQ(forged, 3U) << "no forged clause was rejected";
+}
+
 // ---- mutations of a real explorer proof -----------------------------------
 
 std::string real_proof() {
@@ -215,6 +498,8 @@ TEST(ProofMutation, PristineProofVerifies) {
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.theory_lemmas, 0U);
   EXPECT_GT(r.learnt_clauses, 0U);
+  EXPECT_EQ(r.hinted_learnts, r.learnt_clauses);
+  EXPECT_EQ(r.rup_fallbacks, 0U);
 }
 
 TEST(ProofMutation, BogusLearntClauseRejected) {

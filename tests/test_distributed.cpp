@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "pareto/point.hpp"
+#include "proof_hints.hpp"
 #include "synth/validator.hpp"
 #include "synth_fixtures.hpp"
 
@@ -227,6 +228,22 @@ TEST(Distributed, FrontMatchesSingleProcessAcrossThreadByProcessMatrix) {
           EXPECT_EQ(s.attempts, 1U) << f.name << " shard " << s.shard;
         }
       }
+    }
+  }
+}
+
+TEST(Distributed, EveryShardStreamLogsCompleteHints) {
+  for (const Fixture& f : fixtures()) {
+    for (const std::size_t processes : {2U, 4U}) {
+      DistributedOptions opts;
+      opts.in_process = true;
+      opts.processes = processes;
+      opts.base.common.certify = true;
+      const DistributedResult r = explore_distributed(f.spec, opts);
+      ASSERT_TRUE(r.base.certified)
+          << f.name << " p" << processes << ": " << r.base.certificate_error;
+      test::expect_hints_complete(
+          r.base.proof, std::string(f.name) + " p" + std::to_string(processes));
     }
   }
 }

@@ -2,7 +2,8 @@
 // and every checked-in example specification is pinned in
 // tests/golden/<name>.front and must be reproduced bit-for-bit by the
 // sequential explorer (in certified mode) and by the parallel portfolio at
-// 1, 2 and 4 threads.  Regenerate after an intentional encoding change with
+// 1, 2 and 4 threads.  Every certifying path must also log complete proof
+// hints (tests/proof_hints.hpp).  Regenerate after an intentional encoding change with
 //   ASPMT_WRITE_GOLDEN=1 ./aspmt_tests --gtest_filter='*GoldenFronts*'
 // and review the .front diff like any other code change.
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "dse/explorer.hpp"
 #include "dse/parallel_explorer.hpp"
 #include "dse/respec.hpp"
+#include "dse/warmstart.hpp"
+#include "proof_hints.hpp"
 #include "synth/specio.hpp"
 #include "synth_fixtures.hpp"
 
@@ -147,6 +150,40 @@ TEST_P(GoldenFronts, PortfolioFrontMatchesGoldenAtOneTwoFourThreads) {
   }
 }
 
+TEST_P(GoldenFronts, EveryCertifyingPathLogsCompleteHints) {
+  // Each learnt step names its antecedents, so the checker replays every
+  // proof below without a single full RUP search, and counts exactly what
+  // it counts on the same proof with the hints stripped.
+  const GoldenCase& c = GetParam();
+  if (regenerating()) GTEST_SKIP() << "regeneration uses the sequential run";
+  const synth::Specification spec = load_case(c);
+  const std::string name = c.name;
+
+  dse::ExploreOptions seq;
+  seq.common.certify = true;
+  const dse::ExploreResult r = dse::explore(spec, seq);
+  ASSERT_TRUE(r.certified) << name << ": " << r.certificate_error;
+  test::expect_hints_complete(r.proof, name + " sequential");
+
+  for (const std::size_t threads : {2U, 4U}) {
+    dse::ParallelExploreOptions opts;
+    opts.threads = threads;
+    opts.common.certify = true;
+    const dse::ParallelExploreResult p = dse::explore_parallel(spec, opts);
+    ASSERT_TRUE(p.base.certified)
+        << name << " threads " << threads << ": " << p.base.certificate_error;
+    test::expect_hints_complete(
+        p.base.proof, name + " portfolio " + std::to_string(threads));
+  }
+
+  dse::ExploreOptions warm = seq;
+  warm.common.warm_start.method = dse::WarmStartMethod::Nsga2;
+  warm.common.warm_start.budget = 120;
+  const dse::ExploreResult w = dse::explore(spec, warm);
+  ASSERT_TRUE(w.certified) << name << ": " << w.certificate_error;
+  test::expect_hints_complete(w.proof, name + " warm start");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Instances, GoldenFronts, ::testing::ValuesIn(kCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
@@ -188,7 +225,28 @@ TEST_P(GoldenRespecPairs, IncrementalFrontMatchesEditedGoldenAtAllThreads) {
         << pair.edited << " threads " << threads << ": "
         << r.base.certificate_error;
     EXPECT_FALSE(r.reuse.cold_start) << pair.edited;
+    test::expect_hints_complete(
+        r.base.proof, std::string(pair.edited) + " reexplore threads " +
+                          std::to_string(threads));
   }
+
+  // Re-exploring the unchanged spec after a certified session (same
+  // encoding: certify turns floors off) replays that session's learnt
+  // clauses as `G` steps, which later learnt steps cite as hints.
+  prev_opts.common.certify = true;
+  ASSERT_TRUE(dse::explore(base, prev_opts).certified) << pair.base;
+  dse::Checkpoint certified_prev;
+  ASSERT_EQ(dse::load_checkpoint(ckpt_path, certified_prev), "") << pair.base;
+  std::remove(ckpt_path.c_str());
+  dse::ReexploreOptions same;
+  same.base.common.certify = true;
+  const dse::ReexploreResult again = dse::reexplore(certified_prev, base, same);
+  ASSERT_TRUE(again.base.certified) << pair.base << ": "
+                                    << again.base.certificate_error;
+  EXPECT_GT(again.base.stats.replayed_clauses, 0U) << pair.base;
+  EXPECT_NE(again.base.proof.find("\nG "), std::string::npos) << pair.base;
+  test::expect_hints_complete(again.base.proof,
+                              std::string(pair.base) + " reexplore identical");
 }
 
 INSTANTIATE_TEST_SUITE_P(

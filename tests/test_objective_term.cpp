@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "cert/checker.hpp"
 #include "dse/combinator_bounds.hpp"
 #include "dse/objective_manager.hpp"
+#include "synth/objective_expr.hpp"
 #include "theory/difference.hpp"
 #include "theory/linear_sum.hpp"
 
@@ -180,6 +182,30 @@ TEST(ObjectiveTermSemantics, LexClampsChildrenToTheirCaps) {
       ObjectiveTerm::lex("x", {6, 20}, {leaf(f.s0), leaf(f.s1)});
   f.fix_all();
   EXPECT_EQ(x.lower_bound(), 6 * 21 + 9);
+}
+
+TEST(ObjectiveTermSemantics, LexBoundMatchesSynthLexPackInEveryClampRegime) {
+  // lower_bound() packs a lex node in place; it must agree exactly with
+  // synth::lex_pack, the packing the validator evaluates, whether the
+  // children clamp at their caps or not.
+  Fixture f;
+  auto leaf = [&](theory::LinearSumPropagator::SumId s) {
+    return ObjectiveTerm::linear("l", &f.linear, s);
+  };
+  const std::vector<std::vector<std::int64_t>> caps = {
+      {0, 0}, {0, 20}, {6, 20}, {8, 9}, {7, 8}, {10, 3}, {1000, 1000000}};
+  std::vector<ObjectiveTerm> terms;
+  for (const auto& c : caps) {
+    terms.push_back(ObjectiveTerm::lex("x", c, {leaf(f.s0), leaf(f.s1)}));
+  }
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    EXPECT_EQ(terms[i].lower_bound(), synth::lex_pack({0, 0}, caps[i]));
+  }
+  f.fix_all();  // s0 = 8, s1 = 9
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    EXPECT_EQ(terms[i].lower_bound(), synth::lex_pack({8, 9}, caps[i]))
+        << "caps " << caps[i][0] << "," << caps[i][1];
+  }
 }
 
 TEST(ObjectiveTermSemantics, ExplanationsJustifyTheThresholdByChildRecursion) {

@@ -4,8 +4,9 @@
 //   aspmt_check proof.txt [--require-unsat]
 //
 // Replays the proof with the solver-independent checker: every learnt
-// clause is RUP-verified, every theory lemma re-derived from the declared
-// theory data, every Unsat conclusion discharged by unit propagation.
+// clause is RUP-verified (by walking its hinted antecedents when it names
+// them), every theory lemma re-derived from the declared theory data,
+// every Unsat conclusion discharged by unit propagation.
 // With --require-unsat the stream must additionally contain a verified
 // assumption-free Unsat conclusion (the completeness certificate of an
 // exhaustive exploration).  Feasible-point steps are taken at face value
@@ -19,10 +20,15 @@
 // each band-conditional Unsat *is* the shard's completeness certificate.
 //
 // The `steps:` line counts every step kind, then says where the replay
-// spent its time: `propagations` literals were assigned while checking
-// learnt clauses by RUP and Unsat conclusions by propagation, which took
-// `rup` seconds; re-deriving the theory lemmas took `theory` seconds.
-// Parsing, installs and deletions make up the rest of the wall time.
+// spent its time.  Of the learnt clauses, `hinted` were closed by walking
+// their hints alone; `fallbacks` needed a full RUP search, because they
+// carried no hints or their hints did not lead to a conflict.  A proof
+// written by aspmt_dse shows 0 fallbacks.  `propagations` literals were
+// assigned while checking learnt clauses and Unsat conclusions, which took
+// `rup` seconds; re-deriving the theory lemmas took `theory` seconds, split
+// by lemma tag in parentheses.  Parsing, installs and deletions make up the
+// rest of the wall time.  A merged container prints one `steps:` line per
+// shard.
 //
 // Every literal must have magnitude at most 2^31-1 (the solver's variables
 // are 32-bit); a proof with a larger one is rejected, not replayed.
@@ -44,6 +50,21 @@
 
 namespace {
 
+void print_steps(const aspmt::cert::CheckResult& r) {
+  std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
+            << " learnt (" << r.hinted_learnts << " hinted, " << r.rup_fallbacks
+            << " fallbacks), " << r.theory_lemmas << " theory, " << r.deletions
+            << " deleted, " << r.conclusions << " conclusion(s), "
+            << r.feasible_points << " feasible point(s), " << r.propagations
+            << " propagations, rup " << std::fixed << std::setprecision(3)
+            << r.rup_seconds << " s, theory " << r.theory_seconds << " s (";
+  for (std::size_t i = 0; i < aspmt::cert::kTheoryTags.size(); ++i) {
+    std::cout << (i == 0 ? "" : " ") << aspmt::cert::kTheoryTags[i] << " "
+              << r.theory_tag_seconds[i];
+  }
+  std::cout << ")\n" << std::defaultfloat;
+}
+
 int check_merged(const std::string& text) {
   using namespace aspmt::cert;
   std::size_t objective = 0;
@@ -62,6 +83,7 @@ int check_merged(const std::string& text) {
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardProof& shard = shards[i];
     const CheckResult r = check_proof(shard.proof, options);
+    print_steps(r);
     if (!r.ok) {
       std::cout << "REJECTED: shard " << i << ": " << r.error << "\n";
       return 1;
@@ -163,12 +185,7 @@ int main(int argc, char** argv) {
   }
 
   const aspmt::cert::CheckResult r = aspmt::cert::check_proof(buffer.str(), options);
-  std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
-            << " learnt, " << r.theory_lemmas << " theory, " << r.deletions
-            << " deleted, " << r.conclusions << " conclusion(s), "
-            << r.feasible_points << " feasible point(s), " << r.propagations
-            << " propagations, rup " << std::fixed << std::setprecision(3)
-            << r.rup_seconds << " s, theory " << r.theory_seconds << " s\n";
+  print_steps(r);
   if (!r.ok) {
     std::cout << "REJECTED: " << r.error << "\n";
     return 1;
