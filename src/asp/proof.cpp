@@ -114,6 +114,39 @@ void ProofLog::def_rule(Lit head, Lit body, std::span<const Lit> positive_heads)
   buf_ += '\n';
 }
 
+void ProofLog::def_floor_pair(std::uint32_t floor_sum, Lit lit,
+                              std::uint32_t message, std::uint32_t src_resource,
+                              std::uint32_t dst_resource) {
+  buf_ += "FP";
+  append_int(floor_sum);
+  append_lit(lit);
+  append_int(message);
+  append_int(src_resource);
+  append_int(dst_resource);
+  buf_ += '\n';
+}
+
+void ProofLog::def_floor_edge(std::uint32_t edge, std::uint32_t message,
+                              std::size_t src_option, std::size_t dst_option) {
+  buf_ += "FE";
+  append_int(edge);
+  append_int(message);
+  append_int(static_cast<std::int64_t>(src_option));
+  append_int(static_cast<std::int64_t>(dst_option));
+  buf_ += '\n';
+}
+
+void ProofLog::delete_clause(std::span<const Lit> lits, ProofId id) {
+  buf_ += 'D';
+  for (const Lit l : lits) append_lit(l);
+  buf_ += " 0";
+  if (id != kNoProofId) {
+    append_int(id);
+    buf_ += " 0";
+  }
+  buf_ += '\n';
+}
+
 ProofId ProofLog::learnt_clause(std::span<const Lit> lits,
                                std::span<const ProofId> hints) {
   buf_ += 'L';

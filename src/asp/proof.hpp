@@ -24,11 +24,32 @@
 //   NB <node> <bound> <act>          node bound declaration
 //   O  <obj> <term>                  objective binding; <term> is a tree:
 //                                      L <sum> | D <node>
+//                                    | F <sum> <k> <floor>{k}     floored leaf
 //                                    | X <k> <cap>{k} <term>{k}   lex packing
 //                                    | M <k> <term>{k}            min-max
 //                                    | W <k> <w>{k} <term>{k}     weighted
 //                                    | V <k> <term>{k}            scenario worst
-//                                    (leaf-only bindings are the legacy form)
+//                                    (leaf-only bindings are the legacy form;
+//                                    a floored leaf is bounded by the max of
+//                                    its primary sum and its floor sums, and
+//                                    every floor-sum term must be a primary
+//                                    term on the same literal with at least
+//                                    its weight, or a declared FP literal)
+//   FP <floor> <lit> <msg> <r_src> <r_dst>
+//                                    floor pair: <lit> (a term of floor sum
+//                                    <floor>) holds only when message <msg>
+//                                    has its endpoints bound to resources
+//                                    <r_src>/<r_dst>; its weight claims at
+//                                    most the message's cheapest
+//                                    communication energy between the two
+//   FE <edge> <msg> <opt_src> <opt_dst>
+//                                    floor edge: declared edge <edge> is the
+//                                    delay floor of message <msg> between
+//                                    mapping options <opt_src>/<opt_dst>; its
+//                                    weight claims at most the source's WCET
+//                                    plus the cheapest communication delay
+//                                    (FP/FE weights are re-derived from the
+//                                    specification by cert::certify_front)
 //   OB <obj> <bound> <act>           combinator-axis bound declaration:
 //                                    objective <obj> <= bound while act holds
 //   PR <head> <body> <n> <poshead>*  program rule (for loop nogoods)
@@ -46,7 +67,12 @@
 //                                    antecedent clauses in propagation
 //                                    order, the conflicting clause last
 //   T  <tag> <payload>* ; <lit>* 0   theory lemma with justification
-//   D  <lit>* 0                      clause deletion
+//   D  <lit>* 0 [<id> 0]             clause deletion; the optional trailer
+//                                    names the deleted clause's id, which
+//                                    retires exactly that clause (the
+//                                    literals may be a root-simplified
+//                                    subset of it); without it the clause
+//                                    is found by its literal set
 //   U  <lit>* 0                      Unsat conclusion under assumptions
 //                                    (no literals = global unsatisfiability)
 //   M  0                             model accepted (marker)
@@ -122,6 +148,12 @@ class ProofLog {
   void def_objective_bound(std::size_t objective, std::int64_t bound,
                            Lit activation);
   void def_rule(Lit head, Lit body, std::span<const Lit> positive_heads);
+  /// Floor-pair declaration: `FP <floor_sum> <lit> <msg> <r_src> <r_dst>`.
+  void def_floor_pair(std::uint32_t floor_sum, Lit lit, std::uint32_t message,
+                      std::uint32_t src_resource, std::uint32_t dst_resource);
+  /// Floor-edge declaration: `FE <edge> <msg> <opt_src> <opt_dst>`.
+  void def_floor_edge(std::uint32_t edge, std::uint32_t message,
+                      std::size_t src_option, std::size_t dst_option);
 
   // ---- inference steps ----------------------------------------------------
   ProofId input_clause(std::span<const Lit> lits) {
@@ -136,7 +168,8 @@ class ProofLog {
   /// `L <lits> 0`, followed by `<hints> 0` when `hints` is non-empty.
   ProofId learnt_clause(std::span<const Lit> lits,
                         std::span<const ProofId> hints = {});
-  void delete_clause(std::span<const Lit> lits) { clause_step('D', lits); }
+  /// `D <lits> 0`, followed by `<id> 0` when the clause's id is known.
+  void delete_clause(std::span<const Lit> lits, ProofId id = kNoProofId);
   ProofId theory_clause(const TheoryJustification& just, std::span<const Lit> lits);
   void conclude_unsat(std::span<const Lit> assumptions) {
     clause_step('U', assumptions);

@@ -585,7 +585,9 @@ void Solver::reduce_learnt_db() {
     if (keep) {
       learnt_clauses_[out++] = cref;
     } else {
-      if (proof_ != nullptr) proof_->delete_clause(c.lits());
+      if (proof_ != nullptr) {
+        proof_->delete_clause(c.lits(), arena_.proof_id(cref));
+      }
       arena_.free(cref);
       ++removed;
       ++stats_.deleted_clauses;

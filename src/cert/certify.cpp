@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <queue>
+#include <set>
 
 #include "synth/validator.hpp"
 
@@ -11,9 +13,10 @@ namespace aspmt::cert {
 namespace {
 
 /// The constraint system a proof stream claims to solve: the subsequence of
-/// its I/S/N/E/O/PR lines, verbatim.  Bound declarations (SB/SL/NB), replay
-/// axioms (G) and all derivation steps are excluded — those legitimately
-/// differ across shards of one distributed run; the system itself must not.
+/// its I/S/N/E/O/PR/FP/FE lines, verbatim.  Bound declarations (SB/SL/NB),
+/// replay axioms (G) and all derivation steps are excluded — those
+/// legitimately differ across shards of one distributed run; the system
+/// itself must not.
 std::string declaration_core(std::string_view proof) {
   std::string core;
   std::size_t pos = 0;
@@ -25,7 +28,7 @@ std::string declaration_core(std::string_view proof) {
     const std::size_t sp = line.find(' ');
     const std::string_view head = line.substr(0, sp);
     if (head == "I" || head == "S" || head == "N" || head == "E" ||
-        head == "O" || head == "PR") {
+        head == "O" || head == "PR" || head == "FP" || head == "FE") {
       core.append(line);
       core.push_back('\n');
     }
@@ -78,7 +81,120 @@ std::string arity_error(
   return {};
 }
 
+constexpr std::int64_t kNoPath = std::numeric_limits<std::int64_t>::max();
+
+/// Cheapest cost from every resource to every resource when a link costs
+/// its `link_cost` field per hop: Dijkstra from each source (costs are
+/// >= 0).  This is deliberately not the encoder's floor code, so a fault
+/// there cannot vouch for itself.  kNoPath marks an unreachable pair.
+std::vector<std::vector<std::int64_t>> cheapest_paths(
+    const synth::Specification& spec, std::int64_t synth::Link::*link_cost) {
+  const std::size_t R = spec.resources().size();
+  std::vector<std::vector<std::int64_t>> cost(
+      R, std::vector<std::int64_t>(R, kNoPath));
+  using Entry = std::pair<std::int64_t, synth::ResourceId>;
+  for (synth::ResourceId src = 0; src < R; ++src) {
+    std::vector<std::int64_t>& d = cost[src];
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+    d[src] = 0;
+    open.push({0, src});
+    while (!open.empty()) {
+      const auto [c, r] = open.top();
+      open.pop();
+      if (c != d[r]) continue;
+      for (const synth::LinkId l : spec.links_from(r)) {
+        const synth::Link& link = spec.links()[l];
+        const std::int64_t next = c + link.*link_cost;
+        if (next < d[link.to]) {
+          d[link.to] = next;
+          open.push({next, link.to});
+        }
+      }
+    }
+  }
+  return cost;
+}
+
 }  // namespace
+
+std::string check_floor_claims(const synth::Specification& spec,
+                               const CheckResult& check) {
+  if (check.floor_pairs.empty() && check.floor_edges.empty()) return {};
+  const auto& msgs = spec.messages();
+  const auto& mappings = spec.mappings();
+  const auto R = static_cast<std::int64_t>(spec.resources().size());
+  auto in = [](std::int64_t v, std::size_t n) {
+    return v >= 0 && v < static_cast<std::int64_t>(n);
+  };
+  const auto energy = cheapest_paths(spec, &synth::Link::hop_energy);
+  const auto delay = cheapest_paths(spec, &synth::Link::hop_delay);
+
+  for (const FloorPairClaim& c : check.floor_pairs) {
+    const std::string what = "floor pair on literal " + std::to_string(c.lit);
+    if (!in(c.message, msgs.size()) || c.src_resource < 0 ||
+        c.src_resource >= R || c.dst_resource < 0 || c.dst_resource >= R) {
+      return what + " names an unknown message or resource";
+    }
+    const std::int64_t path = energy[static_cast<std::size_t>(c.src_resource)]
+                                    [static_cast<std::size_t>(c.dst_resource)];
+    if (path == kNoPath) return what + " joins two unconnected resources";
+    const __int128 bound =
+        static_cast<__int128>(msgs[static_cast<std::size_t>(c.message)].payload) *
+        path;
+    if (c.weight > bound) {
+      return what + " weighs " + std::to_string(c.weight) +
+             ", above the message's cheapest communication energy " +
+             std::to_string(static_cast<std::int64_t>(bound));
+    }
+  }
+
+  // The encoding's floor edges: one per endpoint-option pair whose
+  // resources are connected within the hop bound.
+  const auto hops = spec.hop_distances();
+  const std::uint32_t H = spec.effective_max_hops();
+  std::set<std::array<std::size_t, 3>> expected;
+  for (synth::MessageId m = 0; m < msgs.size(); ++m) {
+    for (const std::size_t i : spec.mappings_of(msgs[m].src)) {
+      for (const std::size_t j : spec.mappings_of(msgs[m].dst)) {
+        const std::uint32_t h = hops[mappings[i].resource][mappings[j].resource];
+        if (h != synth::Specification::kUnreachable && h <= H) {
+          expected.insert({m, i, j});
+        }
+      }
+    }
+  }
+  for (const FloorEdgeClaim& c : check.floor_edges) {
+    const std::string what = "floor edge " + std::to_string(c.edge);
+    if (!in(c.message, msgs.size()) || !in(c.src_option, mappings.size()) ||
+        !in(c.dst_option, mappings.size())) {
+      return what + " names an unknown message or mapping option";
+    }
+    const std::array<std::size_t, 3> key = {
+        static_cast<std::size_t>(c.message),
+        static_cast<std::size_t>(c.src_option),
+        static_cast<std::size_t>(c.dst_option)};
+    if (expected.erase(key) == 0) {
+      return what + " is no floor edge of the encoding, or claims one twice";
+    }
+    const synth::Message& msg = msgs[key[0]];
+    const synth::MappingOption& src = mappings[key[1]];
+    const synth::MappingOption& dst = mappings[key[2]];
+    const std::int64_t path = delay[src.resource][dst.resource];
+    const __int128 bound =
+        src.wcet + static_cast<__int128>(msg.payload) * path;
+    if (c.weight > bound) {
+      return what + " weighs " + std::to_string(c.weight) +
+             ", above the source WCET plus cheapest communication delay " +
+             std::to_string(static_cast<std::int64_t>(bound));
+    }
+  }
+  if (!expected.empty()) {
+    const auto& [m, i, j] = *expected.begin();
+    return "floor edge of message " + std::to_string(m) + " between options " +
+           std::to_string(i) + " and " + std::to_string(j) + " has no claim";
+  }
+  return {};
+}
 
 CertifyResult certify_front(
     const synth::Specification& spec,
@@ -115,6 +231,11 @@ CertifyResult certify_front(
   result.check = check_proof(proof, copts);
   if (!result.check.ok) {
     result.error = "proof check failed: " + result.check.error;
+    return result;
+  }
+  // 2b. Every declared floor weight must follow from the specification.
+  if (std::string why = check_floor_claims(spec, result.check); !why.empty()) {
+    result.error = "floor claim refused: " + why;
     return result;
   }
 
@@ -181,6 +302,11 @@ MergedCertifyResult certify_merged(
     CheckResult check = check_proof(shard.proof, copts);
     if (!check.ok) {
       result.error = tag + " proof check failed: " + check.error;
+      result.checks.push_back(std::move(check));
+      return result;
+    }
+    if (std::string why = check_floor_claims(spec, check); !why.empty()) {
+      result.error = tag + " floor claim refused: " + why;
       result.checks.push_back(std::move(check));
       return result;
     }

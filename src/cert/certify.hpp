@@ -9,7 +9,10 @@
 //      those validated points admitted as dominance sources, and contains a
 //      verified assumption-free Unsat conclusion — no model escapes the
 //      dominance-blocked regions, i.e. everything feasible is weakly
-//      dominated by a validated point;
+//      dominated by a validated point — and every objective floor the
+//      stream declares (FP/FE steps) weighs at most what the specification
+//      implies, recomputed here with cheapest-path code of its own, with
+//      one declared floor edge per endpoint-option pair the encoding has;
 //   3. the reported front equals the Pareto-minimal subset of the validated
 //      discoveries.
 // Together these imply the reported front is exactly the Pareto front of
@@ -40,6 +43,21 @@ struct CertifyResult {
   std::string error;
 };
 
+/// Re-derive the floor declarations of a verified stream
+/// (CheckResult::floor_pairs / floor_edges) from the specification:
+///   * a floor pair may weigh at most the message's payload times the
+///     cheapest hop energy between its two resources;
+///   * a floor edge may weigh at most the source option's WCET plus the
+///     payload times the cheapest hop delay between the options' resources;
+///   * a stream that declares floors at all declares exactly one floor edge
+///     for every endpoint-option pair of every message whose resources are
+///     within the hop bound (the encoding's floor edges).
+/// Returns an empty string when every claim holds, the first failure
+/// otherwise.  certify_front and certify_merged apply it to every stream.
+/// Precondition: spec.validate() is empty.
+[[nodiscard]] std::string check_floor_claims(const synth::Specification& spec,
+                                             const CheckResult& check);
+
 /// Certify one exploration run.  `discoveries` must pair every objective
 /// vector the run ever inserted into its archive with the witness
 /// implementation captured for it; `front` is the reported final front.
@@ -65,10 +83,11 @@ struct CertifyResult {
 //   2. per-shard proof check with shard-box extraction
 //      (CheckOptions::shard_objective): the checker-verified box of each
 //      stream must contain the claimed band, the stream must be untruncated
-//      and carry no unconditional bound (CheckResult::unsafe_bounds), and
-//      every stream's declaration core (the I/S/N/E/O/PR lines — the
-//      constraint system itself) must be byte-identical to shard 0's, so all
-//      shards provably solved the same problem;
+//      and carry no unconditional bound (CheckResult::unsafe_bounds), its
+//      floor claims must hold as in certify_front, and every stream's
+//      declaration core (the I/S/N/E/O/PR/FP/FE lines — the constraint
+//      system itself) must be byte-identical to shard 0's, so all shards
+//      provably solved the same problem;
 //   3. coverage — the claimed bands, sorted, tile (-inf, +inf) exactly: the
 //      first is open below, each next band starts one past its predecessor's
 //      end, the last is open above.  No gap escapes every shard's Unsat;

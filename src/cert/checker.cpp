@@ -21,6 +21,10 @@ using Lit = std::int32_t;
 /// Largest variable a proof may mention: the solver's `Var` is 32-bit.
 constexpr std::int64_t kMaxVar = std::numeric_limits<Lit>::max();
 constexpr const char* kOutOfRange = "literal out of range (|lit| > 2^31-1)";
+/// Slack above the proof's length in the variable bound (Checker::max_var_).
+constexpr std::int64_t kVarSlack = std::int64_t{1} << 20;
+constexpr const char* kBeyondBound =
+    "variable beyond the proof's size bound (its length in bytes + 2^20)";
 
 [[nodiscard]] constexpr bool in_range(std::int64_t l) noexcept {
   return l >= -kMaxVar && l <= kMaxVar;
@@ -50,6 +54,13 @@ struct LitLess {
 };
 
 void canonicalize(Lits& lits) {
+  // Most steps arrive sorted by variable already: one pass confirms that a
+  // clause is strictly increasing (sorted and duplicate-free), and only a
+  // clause out of order is sorted.
+  const auto out_of_order = std::adjacent_find(
+      lits.begin(), lits.end(),
+      [](std::int64_t a, std::int64_t b) { return !LitLess{}(a, b); });
+  if (out_of_order == lits.end()) return;
   std::sort(lits.begin(), lits.end(), LitLess{});
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
 }
@@ -112,14 +123,15 @@ struct Rule {
   Lits pos_heads;  // head literals of the positive body atoms
 };
 
-/// One objective binding as declared by an O line: a leaf ('L' sum, 'D'
-/// node) or a combinator ('X' lex with caps, 'M' minmax, 'W' weighted with
-/// weights, 'V' scenario-worst) over such trees.  kind 0 marks an axis whose
-/// binding was never declared.
+/// One objective binding as declared by an O line: a leaf ('L' sum, 'F'
+/// sum with floor sums, 'D' node) or a combinator ('X' lex with caps, 'M'
+/// minmax, 'W' weighted with weights, 'V' scenario-worst) over such trees.
+/// kind 0 marks an axis whose binding was never declared.
 struct ObjTree {
   char kind = 0;
   std::int64_t id = 0;                // leaf theory id
-  std::vector<std::int64_t> params;   // caps ('X') or weights ('W')
+  std::vector<std::int64_t> params;   // floor sums ('F'), caps ('X') or
+                                      // weights ('W')
   std::vector<ObjTree> children;
 };
 
@@ -200,7 +212,8 @@ class Checker {
  private:
   // ---- unit propagation ---------------------------------------------------
 
-  /// Grow the per-variable and per-literal arrays to cover `l`'s variable.
+  /// Grow the per-variable and per-literal arrays to cover `l`'s variable,
+  /// which must be within max_var_.
   void ensure_var(std::int64_t l) {
     const auto v = static_cast<std::size_t>(std::abs(l));
     if (assign_.size() > v) return;
@@ -325,11 +338,10 @@ class Checker {
 
   /// An active clause other than `dead` that is unit on `unit` (or false,
   /// for unit 0) right now, searched on the watch lists of `dead`'s
-  /// literals.  A D step names its clause by literal set, and the solver
-  /// logs a root-simplified clause's deletion with the simplified set, so
-  /// the deletion index can retire a different copy of a clause than the
-  /// solver did: the copy the solver kept then watches the same open
-  /// literals.
+  /// literals.  A D step without an id trailer names its clause by literal
+  /// set, so the deletion index can retire a different copy of a clause
+  /// than the writer did: the copy the writer kept then watches the same
+  /// open literals.
   [[nodiscard]] bool live_copy(std::uint32_t dead, Lit unit) const {
     const Clause& d = clauses_[dead];
     for (std::uint32_t k = 0; k < d.size; ++k) {
@@ -462,11 +474,12 @@ class Checker {
   }
 
   /// Deactivate one active clause whose literal set is `lits` (canonical).
-  /// The solver stores theory clauses root-simplified, so some deletions
-  /// have no exact match here; keeping those clauses only strengthens
-  /// propagation over valid clauses, which stays sound.
-  void remove(const Lits& lits) {
-    if (buckets_.empty()) return;
+  /// Returns false when there is none.  A deletion without an id trailer
+  /// may name a root-simplified clause that has no exact match here;
+  /// keeping such a clause only strengthens propagation over valid clauses,
+  /// which stays sound.
+  bool remove(const Lits& lits) {
+    if (buckets_.empty()) return false;
     const std::uint32_t h = set_hash(lits);
     bool marked = false;
     for (std::uint32_t* at = &buckets_[h & (buckets_.size() - 1)];
@@ -481,12 +494,36 @@ class Checker {
       // Both sides are duplicate-free and equally long: subset means equal.
       if (std::all_of(ls, ls + c.size,
                       [&](Lit l) { return clause_set_.contains(l); })) {
-        c.active = false;
-        *at = c.next;
-        --indexed_;
-        return;
+        deactivate(at);
+        return true;
       }
     }
+    return false;
+  }
+
+  /// Deactivate the clause introduced by step `id` (a deletion's trailer).
+  /// Returns false when `id` names no clause-introducing step or a clause
+  /// already retired.  A step that stored no clause (a root fact or a
+  /// tautology) has nothing to retire and counts as matched.
+  bool retire(std::int64_t id) {
+    if (id < 1 || id > static_cast<std::int64_t>(step_clause_.size())) {
+      return false;
+    }
+    const std::uint32_t cl = step_clause_[static_cast<std::size_t>(id - 1)];
+    if (cl == kNoClause) return true;
+    if (!clauses_[cl].active) return false;
+    std::uint32_t* at = &buckets_[clauses_[cl].hash & (buckets_.size() - 1)];
+    while (*at != cl) at = &clauses_[*at].next;  // active clauses are indexed
+    deactivate(at);
+    return true;
+  }
+
+  /// Retire the clause the deletion-index link `at` points to.
+  void deactivate(std::uint32_t* at) {
+    Clause& c = clauses_[*at];
+    c.active = false;
+    *at = c.next;
+    --indexed_;
   }
 
   // ---- theory re-derivation ----------------------------------------------
@@ -576,6 +613,15 @@ class Checker {
           return "unknown sum";
         }
         out = clause_weight_in_sum(static_cast<std::size_t>(t.id));
+        return {};
+      }
+      case 'F': {
+        // parse_obj_tree checked the sums and every floor against the
+        // primary sum, so each floor is a lower bound of the leaf too.
+        out = clause_weight_in_sum(static_cast<std::size_t>(t.id));
+        for (const std::int64_t f : t.params) {
+          out = std::max(out, clause_weight_in_sum(static_cast<std::size_t>(f)));
+        }
         return {};
       }
       case 'D': {
@@ -786,6 +832,7 @@ class Checker {
     while (line.integer(v)) {
       if (v == 0) return nullptr;
       if (!in_range(v)) return kOutOfRange;
+      if (std::abs(v) > max_var_) return kBeyondBound;
       ensure_var(v);
       out.push_back(v);
     }
@@ -810,14 +857,50 @@ class Checker {
   /// Read the literal (or variable) of a declaration, under the same range
   /// contract as read_lits.
   [[nodiscard]] bool read_lit(Line& line, std::int64_t& out) {
-    if (!line.integer(out) || !in_range(out)) return false;
+    if (!line.integer(out) || !in_range(out) || std::abs(out) > max_var_) {
+      return false;
+    }
     ensure_var(out);
     return true;
   }
 
+  /// Whether `id` names a declared sum.
+  [[nodiscard]] bool known_sum(std::int64_t id) const noexcept {
+    return id >= 0 && static_cast<std::size_t>(id) < sums_.size();
+  }
+
+  /// A floor sum may only bound its leaf from below.  Each of its literals
+  /// must carry at most the weight the primary sum gives the same literal,
+  /// or be a declared floor pair of this floor sum that the primary sum
+  /// does not mention.  Returns an empty string when that holds.
+  [[nodiscard]] std::string check_floor(std::int64_t primary,
+                                        std::int64_t floor) const {
+    std::map<std::int64_t, __int128> room;  // literal -> primary weight
+    for (const auto& [g, w] : sums_[static_cast<std::size_t>(primary)]) {
+      room[g] += w;
+    }
+    std::map<std::int64_t, __int128> need;  // literal -> floor weight
+    for (const auto& [g, w] : sums_[static_cast<std::size_t>(floor)]) {
+      need[g] += w;
+    }
+    for (const auto& [g, w] : need) {
+      const auto it = room.find(g);
+      if (floor_pair_keys_.count({floor, g}) != 0) {
+        if (it != room.end()) return "floor pair literal is also a primary term";
+      } else if (it == room.end() || it->second < w) {
+        return "floor term is neither a primary term of at least its weight "
+               "nor a declared floor pair";
+      }
+    }
+    return {};
+  }
+
   /// Parse one objective-binding term from an O line.  Grammar:
-  ///   term := L <sum> | D <node> | X <k> <cap>{k} <term>{k}
-  ///         | M <k> <term>{k} | W <k> <weight>{k} <term>{k} | V <k> <term>{k}
+  ///   term := L <sum> | F <sum> <k> <floor>{k} | D <node>
+  ///         | X <k> <cap>{k} <term>{k} | M <k> <term>{k}
+  ///         | W <k> <weight>{k} <term>{k} | V <k> <term>{k}
+  /// An F leaf's sums must be declared, and each floor must pass
+  /// check_floor against the primary sum.
   /// Structural limits mirror the spec validator (depth <= 8, <= 64 nodes);
   /// lex cap products are checked overflow-free so packing arithmetic in
   /// tree_lower_bound cannot wrap.  Returns an empty string on success.
@@ -832,6 +915,19 @@ class Checker {
       if (!line.integer(id) || id < 0) return "malformed leaf";
       out.kind = what[0];
       out.id = id;
+      return {};
+    }
+    if (what == "F") {
+      std::int64_t k = 0;
+      if (!line.integer(out.id) || !known_sum(out.id)) return "unknown sum";
+      if (!line.integer(k) || k < 1 || k > 64) return "malformed floor count";
+      out.kind = 'F';
+      out.params.resize(static_cast<std::size_t>(k));
+      for (auto& f : out.params) {
+        if (!line.integer(f) || !known_sum(f)) return "unknown floor sum";
+        std::string why = check_floor(out.id, f);
+        if (!why.empty()) return why;
+      }
       return {};
     }
     if (what != "X" && what != "M" && what != "W" && what != "V") {
@@ -922,10 +1018,11 @@ class Checker {
   /// activations on the shard objective's sum, record the proven interval.
   void maybe_record_shard_box(const Lits& assumptions) {
     const auto obj = static_cast<std::size_t>(opts_.shard_objective);
-    // The shard objective must be a *linear leaf*: combinator axes have no
-    // single sum whose SB/SL activations could carve a sound interval.
-    if (obj >= objectives_.size() || objectives_[obj].kind != 'L' ||
-        !objectives_[obj].children.empty()) {
+    // The shard objective must be a *linear leaf*, floored or not (its
+    // primary sum is the banded one): combinator axes have no single sum
+    // whose SB/SL activations could carve a sound interval.
+    if (obj >= objectives_.size() ||
+        (objectives_[obj].kind != 'L' && objectives_[obj].kind != 'F')) {
       return;
     }
     const std::int64_t shard_sum = objectives_[obj].id;
@@ -977,7 +1074,10 @@ class Checker {
   std::vector<std::int64_t> payload_;
   std::vector<std::int64_t> hints_;  // of the learnt step being checked
 
+  std::int64_t max_var_ = 0;  // largest variable the proof may mention
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> sums_;
+  std::set<std::pair<std::int64_t, std::int64_t>> floor_pair_keys_;  // sum, lit
+  std::set<std::int64_t> floor_edge_keys_;
   std::set<std::array<std::int64_t, 3>> sum_bounds_;
   std::set<std::array<std::int64_t, 3>> sum_lower_bounds_;
   std::int64_t num_nodes_ = 0;
@@ -1000,6 +1100,9 @@ class Checker {
 CheckResult Checker::run(std::string_view proof) {
   std::size_t line_no = 0;
   bool saw_header = false;
+  max_var_ = static_cast<std::int64_t>(std::min<std::size_t>(
+                 proof.size(), static_cast<std::size_t>(kMaxVar - kVarSlack))) +
+             kVarSlack;
   auto fail = [&](std::string_view what) {
     result_.ok = false;
     result_.error = "line " + std::to_string(line_no) + ": " + std::string(what);
@@ -1120,9 +1223,21 @@ CheckResult Checker::run(std::string_view proof) {
       if (const char* bad = read_lits(line, lits, "unterminated deletion")) {
         return fail(bad);
       }
-      canonicalize(lits);
-      remove(lits);
+      bool matched = false;
+      if (line.at_end()) {
+        canonicalize(lits);
+        matched = remove(lits);
+      } else {
+        std::int64_t id = 0;
+        std::int64_t zero = 0;
+        if (!line.integer(id) || id < 1 || !line.integer(zero) || zero != 0 ||
+            !line.at_end()) {
+          return fail("malformed deletion id");
+        }
+        matched = retire(id);
+      }
       ++result_.deletions;
+      if (!matched) ++result_.unmatched_deletions;
     } else if (kind == "U") {
       if (const char* bad = read_lits(line, lits, "unterminated conclusion")) {
         return fail(bad);
@@ -1278,6 +1393,41 @@ CheckResult Checker::run(std::string_view proof) {
       }
       comb_bounds_.insert({obj, bound, act});
       note_bound_act(3, obj, bound, act);
+    } else if (kind == "FP") {
+      FloorPairClaim c;
+      if (!line.integer(c.floor_sum) || !read_lit(line, c.lit) || c.lit == 0 ||
+          !line.integer(c.message) || !line.integer(c.src_resource) ||
+          !line.integer(c.dst_resource) || !line.at_end() ||
+          !known_sum(c.floor_sum)) {
+        return fail("malformed floor pair");
+      }
+      __int128 weight = 0;
+      bool term = false;
+      for (const auto& [g, w] : sums_[static_cast<std::size_t>(c.floor_sum)]) {
+        if (g != c.lit) continue;
+        weight += w;
+        term = true;
+      }
+      if (!term) return fail("floor pair literal is not a term of its floor sum");
+      if (!floor_pair_keys_.insert({c.floor_sum, c.lit}).second) {
+        return fail("floor pair declared twice");
+      }
+      c.weight = static_cast<std::int64_t>(std::min<__int128>(
+          weight, std::numeric_limits<std::int64_t>::max()));
+      result_.floor_pairs.push_back(c);
+    } else if (kind == "FE") {
+      FloorEdgeClaim c;
+      if (!line.integer(c.edge) || !line.integer(c.message) ||
+          !line.integer(c.src_option) || !line.integer(c.dst_option) ||
+          !line.at_end() || c.edge < 0 ||
+          c.edge >= static_cast<std::int64_t>(edges_.size())) {
+        return fail("malformed floor edge");
+      }
+      if (!floor_edge_keys_.insert(c.edge).second) {
+        return fail("floor edge declared twice");
+      }
+      c.weight = edges_[static_cast<std::size_t>(c.edge)].weight;
+      result_.floor_edges.push_back(c);
     } else if (kind == "PR") {
       Rule r;
       std::int64_t n = 0;

@@ -13,11 +13,17 @@
 // and with them the exactness of an explored Pareto front — independently
 // machine-checked facts.
 //
-// Trust boundary: declarations (I/S/SB/SL/N/E/NB/O/PR) are axioms of the
-// constraint system — they assert what problem was solved, not how.  The
-// certification layer (cert/certify.hpp) closes the remaining gap on the
-// model side by validating every feasible point's witness against the
-// specification with synth::Validator.
+// Trust boundary: declarations (I/S/SB/SL/N/E/NB/O/PR/FP/FE) are axioms of
+// the constraint system — they assert what problem was solved, not how.
+// The certification layer (cert/certify.hpp) closes the remaining gap on
+// the model side by validating every feasible point's witness against the
+// specification with synth::Validator, and re-derives the weight of every
+// declared floor source (CheckResult::floor_pairs / floor_edges) from the
+// specification.
+//
+// Resource contract: a proof may mention variables up to its own length in
+// bytes plus 2^20; the per-variable arrays are sized by that bound, so a
+// short proof naming a huge variable is rejected rather than allocated for.
 #pragma once
 
 #include <array>
@@ -52,6 +58,31 @@ struct CheckOptions {
   std::int64_t shard_objective = -1;
 };
 
+/// A declared floor pair (`FP` step): literal `lit`, a term of floor sum
+/// `floor_sum` with `weight`, holds only when message `message` has its
+/// endpoints on resources `src_resource`/`dst_resource`.  The checker takes
+/// the declaration as part of the encoding; cert::certify_front re-derives
+/// the weight's bound from the specification.
+struct FloorPairClaim {
+  std::int64_t floor_sum = 0;
+  std::int64_t lit = 0;
+  std::int64_t weight = 0;  ///< the literal's total weight in the floor sum
+  std::int64_t message = 0;
+  std::int64_t src_resource = 0;
+  std::int64_t dst_resource = 0;
+};
+
+/// A declared floor edge (`FE` step): edge `edge`, of weight `weight`, is
+/// the delay floor of message `message` between mapping options
+/// `src_option`/`dst_option`.
+struct FloorEdgeClaim {
+  std::int64_t edge = 0;
+  std::int64_t weight = 0;
+  std::int64_t message = 0;
+  std::int64_t src_option = 0;
+  std::int64_t dst_option = 0;
+};
+
 struct CheckResult {
   bool ok = false;
   /// The stream contains a verified assumption-free Unsat conclusion.
@@ -75,6 +106,10 @@ struct CheckResult {
   std::size_t rup_fallbacks = 0;
   std::size_t theory_lemmas = 0;
   std::size_t deletions = 0;
+  /// Deletions that retired nothing: their id trailer named no clause-
+  /// introducing step or a clause already retired, or (without a trailer)
+  /// no active clause has their literal set.  Zero on solver-written proofs.
+  std::size_t unmatched_deletions = 0;
   std::size_t conclusions = 0;
   std::size_t feasible_points = 0;
   /// Literals assigned while checking learnt clauses (hint walks and RUP)
@@ -103,6 +138,11 @@ struct CheckResult {
   /// argument above cannot switch it off — merged certification rejects
   /// shard streams carrying one.
   bool unsafe_bounds = false;
+  /// The stream's floor declarations, in stream order.  Every floor-sum term
+  /// of a floored objective leaf that is not covered by a primary term is
+  /// one of floor_pairs.
+  std::vector<FloorPairClaim> floor_pairs;
+  std::vector<FloorEdgeClaim> floor_edges;
   /// First failure, with its 1-based line number; empty when ok.
   std::string error;
 };

@@ -29,9 +29,9 @@ struct ContextOptions {
   bool objective_floors = true;
   /// When set, the whole session is proof-logged: the solver emits its
   /// inference trace and every theory propagator mirrors its declarations
-  /// and lemma justifications.  The pointee must outlive the context.
-  /// Certified exploration requires objective_floors = false (floor-based
-  /// bound explanations are not independently re-derivable).
+  /// and lemma justifications, and the encoding declares its floor sources
+  /// (`FP`/`FE` steps) so floor-based explanations re-derive too.  The
+  /// pointee must outlive the context.
   asp::ProofLog* proof = nullptr;
   asp::SolverOptions solver_options{};
 };

@@ -176,9 +176,9 @@ void ObjectiveTerm::explain(std::int64_t threshold,
   if (threshold <= 0) return;
   switch (kind_) {
     case Kind::Linear: {
-      // Prefer the primary sum (checker-re-derivable); fall back to the
-      // strongest floor (uncertified runs only — floors are disabled under
-      // proof logging).
+      // Prefer the primary sum; fall back to the first floor that reaches
+      // the threshold.  The proof binding declares the floors (an `F`
+      // leaf), so the checker folds the same max and re-derives either.
       if (linear_->lower_bound(sum_) >= threshold) {
         linear_->explain_lower_bound(sum_, threshold, out);
         return;
@@ -321,8 +321,12 @@ void ObjectiveTerm::serialize(std::string& out) const {
   };
   switch (kind_) {
     case Kind::Linear:
-      token("L");
+      token(floors_.empty() ? "L" : "F");
       token(std::to_string(sum_));
+      if (!floors_.empty()) {
+        token(std::to_string(floors_.size()));
+        for (const Floor& f : floors_) token(std::to_string(f.sum));
+      }
       return;
     case Kind::Difference:
       token("D");

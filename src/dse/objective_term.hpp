@@ -23,7 +23,10 @@
 //                       into children.  The explanation is checker-friendly:
 //                       re-deriving each *leaf* bound from the clause and
 //                       folding it through the (monotone) combinators again
-//                       reaches t.  weighted explains children only until
+//                       reaches t.  A floored linear leaf explains with its
+//                       primary sum when that reaches t, else with a floor
+//                       sum; the checker re-derives the leaf as the max of
+//                       both.  weighted explains children only until
 //                       Σ w_i·explained_i reaches t;
 //   * push_bound()    — decompose `term <= bound` into child theory bounds
 //                       where sound.  minmax/scenario_worst fan out
@@ -147,9 +150,12 @@ class ObjectiveTerm {
   bool push_lower_bound(std::int64_t bound, asp::Lit activation) const;
 
   /// Serialize the tree as proof-binding tokens:
-  ///   L <sum> | D <node> | X <k> <cap...> <child>... |
-  ///   M <k> <child>... | W <k> <weight...> <child>... | V <k> <child>...
-  /// A leaf serializes to exactly the legacy binding body.
+  ///   L <sum> | F <sum> <k> <floor...> | D <node> |
+  ///   X <k> <cap...> <child>... | M <k> <child>... |
+  ///   W <k> <weight...> <child>... | V <k> <child>...
+  /// A linear leaf with floors is an `F` leaf: its bound is the max of the
+  /// primary sum and the floor sums.  A floor-free leaf serializes to
+  /// exactly the legacy binding body.
   void serialize(std::string& out) const;
 
  private:

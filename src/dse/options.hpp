@@ -46,9 +46,11 @@ struct CommonOptions {
   /// witness with synth::Validator, and machine-check the terminating Unsat
   /// proof with the independent checker — on success the result's
   /// `certified` flag asserts the front is exactly the Pareto front of the
-  /// declared system.  Forces witness collection on and objective floors
-  /// off (floor explanations are not independently re-derivable; the front
-  /// is unaffected).  Incompatible with a non-empty epsilon.
+  /// declared system.  Forces witness collection on.  The search keeps the
+  /// objective floors: the proof declares every floor source (`FP`/`FE`
+  /// steps), the checker folds floor sums into the energy bound, and
+  /// certification re-derives each declared floor weight from the spec.
+  /// Incompatible with a non-empty epsilon.
   bool certify = false;
   /// ε-dominance approximation: one additive slack per Pareto axis, in the
   /// spec's axis order (spec.axis_count() entries).  Empty = exact.  With a

@@ -152,9 +152,8 @@ void run_worker(std::size_t index, std::size_t total,
   ContextOptions copts;
   copts.archive_kind = common.archive_kind;
   copts.partial_evaluation = common.partial_evaluation;
-  // Certified runs disable floors for checkable explanations (see
-  // CommonOptions::certify) and give every worker its own proof stream.
-  copts.objective_floors = proof != nullptr ? false : common.objective_floors;
+  // Certified runs give every worker its own proof stream.
+  copts.objective_floors = common.objective_floors;
   copts.proof = proof;
   copts.solver_options = diversify(common.solver_options, index, opts.seed);
   copts.solver_options.stop = shared.budget->token();

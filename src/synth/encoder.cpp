@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "asp/cardinality.hpp"
+#include "asp/proof.hpp"
 
 namespace aspmt::synth {
 
@@ -231,17 +232,24 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
   const auto min_delay = weighted_apsp([](const Link& l) { return l.hop_delay; });
   const auto min_energy = weighted_apsp([](const Link& l) { return l.hop_energy; });
 
+  // Each floor remembers what it stands for: a proof-logged encoding
+  // declares that (FP/FE steps) so certification can re-derive the weight
+  // from the specification.
   struct FloorTerm {
     asp::Atom copair;
     std::int64_t weight;
+    MessageId msg;
+    ResourceId src_res;
+    ResourceId dst_res;
   };
   std::vector<FloorTerm> floor_terms;
   struct FloorEdge {
-    TaskId src;
-    TaskId dst;
     asp::Atom bind_src;
     asp::Atom bind_dst;
     std::int64_t weight;
+    MessageId msg;
+    std::size_t src_option;  // index into spec.mappings()
+    std::size_t dst_option;
   };
   std::vector<FloorEdge> floor_edges;
 
@@ -249,10 +257,12 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
     const Message& msg = msgs[m];
     std::map<std::pair<ResourceId, ResourceId>, asp::Atom> copair_of;
     for (std::size_t i = 0; i < spec.mappings_of(msg.src).size(); ++i) {
-      const ResourceId r1 = spec.mappings()[spec.mappings_of(msg.src)[i]].resource;
-      const std::int64_t w1 = spec.mappings()[spec.mappings_of(msg.src)[i]].wcet;
+      const std::size_t o1 = spec.mappings_of(msg.src)[i];
+      const ResourceId r1 = spec.mappings()[o1].resource;
+      const std::int64_t w1 = spec.mappings()[o1].wcet;
       for (std::size_t j = 0; j < spec.mappings_of(msg.dst).size(); ++j) {
-        const ResourceId r2 = spec.mappings()[spec.mappings_of(msg.dst)[j]].resource;
+        const std::size_t o2 = spec.mappings_of(msg.dst)[j];
+        const ResourceId r2 = spec.mappings()[o2].resource;
         const Atom b1 = enc.bind_atom[msg.src][i];
         const Atom b2 = enc.bind_atom[msg.dst][j];
         if (dist[r1][r2] == Specification::kUnreachable || dist[r1][r2] > H) {
@@ -260,9 +270,8 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
           prog.integrity({pos(b1), pos(b2)});
           continue;
         }
-        floor_edges.push_back(
-            FloorEdge{msg.src, msg.dst, b1, b2,
-                      w1 + min_delay[r1][r2] * msg.payload});
+        floor_edges.push_back(FloorEdge{
+            b1, b2, w1 + min_delay[r1][r2] * msg.payload, m, o1, o2});
         if (r1 != r2 && min_energy[r1][r2] > 0) {
           const auto key = std::make_pair(r1, r2);
           auto it = copair_of.find(key);
@@ -270,7 +279,7 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
             const Atom cp = prog.new_atom(atom_name(
                 "copair", {msg.name, res[r1].name, res[r2].name}));
             floor_terms.push_back(
-                FloorTerm{cp, min_energy[r1][r2] * msg.payload});
+                FloorTerm{cp, min_energy[r1][r2] * msg.payload, m, r1, r2});
             it = copair_of.emplace(key, cp).first;
           }
           prog.rule(it->second, {pos(b1), pos(b2)});
@@ -395,6 +404,12 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
       floor.push_back(theory::Term{enc.lit(ft.copair), ft.weight});
     }
     enc.energy_floor_sum = linear.add_sum("energy_floor", std::move(floor));
+    if (asp::ProofLog* proof = solver.proof()) {
+      for (const FloorTerm& ft : floor_terms) {
+        proof->def_floor_pair(enc.energy_floor_sum, enc.lit(ft.copair), ft.msg,
+                              ft.src_res, ft.dst_res);
+      }
+    }
   }
 
   // ---- latency: difference-logic scheduling -------------------------------
@@ -461,8 +476,12 @@ Encoding encode(const Specification& spec, asp::Solver& solver,
   // Delay floors: end-to-end minimal communication latency per endpoint
   // pair, active as soon as both bindings are decided.
   for (const FloorEdge& fe : floor_edges) {
-    dl.add_edge(enc.start_node[fe.src], enc.start_node[fe.dst], fe.weight,
-                {enc.lit(fe.bind_src), enc.lit(fe.bind_dst)});
+    const auto edge = dl.add_edge(enc.start_node[msgs[fe.msg].src],
+                                  enc.start_node[msgs[fe.msg].dst], fe.weight,
+                                  {enc.lit(fe.bind_src), enc.lit(fe.bind_dst)});
+    if (asp::ProofLog* proof = solver.proof()) {
+      proof->def_floor_edge(edge, fe.msg, fe.src_option, fe.dst_option);
+    }
   }
 
   // Serialization edges.

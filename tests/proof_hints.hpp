@@ -1,8 +1,8 @@
 // Hint-completeness checks shared by the certification tests.  A proof the
 // solver writes must verify with every learnt step closed by its own hints
-// (no fallback to full RUP search), and must count exactly what the same
-// proof counts with every hint list stripped: hints speed the checker up
-// and change nothing else.
+// (no fallback to full RUP search) and every deletion retiring a clause,
+// and must count exactly what the same proof counts with every hint list
+// stripped: hints speed the checker up and change nothing else.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -47,9 +47,9 @@ inline std::string strip_hints(std::string_view proof) {
 
 /// Every count of a check result except the timings.
 inline std::vector<std::size_t> step_counts(const cert::CheckResult& r) {
-  return {r.input_clauses,   r.guarded_clauses, r.learnt_clauses,
-          r.theory_lemmas,   r.deletions,       r.conclusions,
-          r.feasible_points, r.ok ? 1U : 0U,
+  return {r.input_clauses,   r.guarded_clauses,     r.learnt_clauses,
+          r.theory_lemmas,   r.deletions,           r.unmatched_deletions,
+          r.conclusions,     r.feasible_points,     r.ok ? 1U : 0U,
           r.concluded_global_unsat ? 1U : 0U};
 }
 
@@ -61,6 +61,7 @@ inline void expect_stream_hints_complete(const std::string& proof,
   const cert::CheckResult stripped = cert::check_proof(strip_hints(proof));
   ASSERT_TRUE(hinted.ok) << what << ": " << hinted.error;
   EXPECT_EQ(hinted.rup_fallbacks, 0U) << what;
+  EXPECT_EQ(hinted.unmatched_deletions, 0U) << what;
   EXPECT_EQ(hinted.hinted_learnts, hinted.learnt_clauses) << what;
   EXPECT_EQ(step_counts(hinted), step_counts(stripped)) << what;
   EXPECT_EQ(stripped.rup_fallbacks, stripped.learnt_clauses) << what;

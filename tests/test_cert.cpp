@@ -199,7 +199,104 @@ TEST(ProofChecker, UnmatchedDeletionIsANoOp) {
       "D 1 3 0\nD 1 2 3 0\nD 1 0\nD 7 8 0\nU -2 0\n");
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.deletions, 4U);
+  EXPECT_EQ(r.unmatched_deletions, 4U);
   EXPECT_EQ(r.conclusions, 1U);
+}
+
+TEST(ProofChecker, DeletionIdRetiresExactlyThatClause) {
+  // The trailer names clause 1 although its literals are only a subset of
+  // it, as a root-simplified clause's deletion logs them.
+  const auto retired = check(
+      "p aspmt 1\nI 1 2 3 0\nI 1 2 -3 0\nU -1 -2 0\n"
+      "D 1 2 0 1 0\nU -1 -2 0\n");
+  EXPECT_FALSE(retired.ok);
+  EXPECT_NE(retired.error.find("line 6: Unsat conclusion"), std::string::npos)
+      << retired.error;
+  EXPECT_EQ(retired.deletions, 1U);
+  EXPECT_EQ(retired.unmatched_deletions, 0U);
+
+  // Without the trailer the subset matches no clause: nothing is retired.
+  const auto kept = check(
+      "p aspmt 1\nI 1 2 3 0\nI 1 2 -3 0\nU -1 -2 0\n"
+      "D 1 2 0\nU -1 -2 0\n");
+  EXPECT_TRUE(kept.ok) << kept.error;
+  EXPECT_EQ(kept.unmatched_deletions, 1U);
+}
+
+TEST(ProofChecker, DeletionIdsThatNameNoLiveClauseAreUnmatched) {
+  // Unknown id, a second deletion of one clause, and a root fact (clause 3
+  // acted once and stored nothing: matched, nothing to retire).
+  const auto r = check(
+      "p aspmt 1\nI 1 2 0\nI -1 2 0\nI 4 0\n"
+      "D 1 2 0 9 0\nD 1 2 0 1 0\nD 1 2 0 1 0\nD 4 0 3 0\nU -2 0\n");
+  EXPECT_FALSE(r.ok);  // clause 1 is gone, so -2 no longer refutes
+  EXPECT_EQ(r.deletions, 4U);
+  EXPECT_EQ(r.unmatched_deletions, 2U);
+}
+
+TEST(ProofChecker, MalformedDeletionIdsAreParseErrors) {
+  for (const char* tail : {"D 1 2 0 x\n", "D 1 2 0 1\n", "D 1 2 0 0 0\n",
+                           "D 1 2 0 1 0 7\n", "D 1 2 0 -1 0\n"}) {
+    const auto r = check(std::string("p aspmt 1\nI 1 2 0\n") + tail);
+    EXPECT_FALSE(r.ok) << tail;
+    EXPECT_NE(r.error.find("line 3: malformed deletion id"), std::string::npos)
+        << tail << ": " << r.error;
+  }
+}
+
+TEST(ProofChecker, AHugeVariableIsRefusedNotAllocated) {
+  // Sizing the per-variable arrays for variable 2e9 would need tens of
+  // gigabytes; the proof's own length bounds the variables it may name.
+  const auto r = check("p aspmt 1\nI 2000000000 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("line 2: variable beyond the proof's size bound"),
+            std::string::npos)
+      << r.error;
+  const auto decl = check("p aspmt 1\nS 0 1 2000000000 5\n");
+  EXPECT_FALSE(decl.ok);
+  EXPECT_NE(decl.error.find("line 2: malformed sum term"), std::string::npos)
+      << decl.error;
+}
+
+TEST(ProofChecker, FloorDeclarationsAreCheckedWhereTheyAreRead) {
+  // Primary sum 0 = 5*[1]; floor sum 1 = 5*[1] + 3*[2], where 2 is a
+  // declared floor pair.  The energy binding folds max(sum 0, sum 1).
+  const std::string sums = "p aspmt 1\nS 0 1 1 5\nS 1 2 1 5 2 3\n";
+  const std::string fp = "FP 1 2 0 0 1\n";
+  const std::string bind = "O 0 F 0 1 1\n";
+  const auto ok = check(sums + fp + bind + "N 0\nN 1\nE 0 0 1 5 1 1\n" +
+                        "FE 0 0 0 1\nF 1 8 0\nT DOM 1 8 ; -1 -2 0\n");
+  ASSERT_TRUE(ok.ok) << ok.error;
+  ASSERT_EQ(ok.floor_pairs.size(), 1U);
+  EXPECT_EQ(ok.floor_pairs[0].weight, 3);
+  EXPECT_EQ(ok.floor_pairs[0].dst_resource, 1);
+  ASSERT_EQ(ok.floor_edges.size(), 1U);
+  EXPECT_EQ(ok.floor_edges[0].weight, 5);
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      // the floor reaches 8 only with literal 2
+      {sums + fp + bind + "F 1 9 0\nT DOM 1 9 ; -1 -2 0\n",
+       "line 7: theory lemma rejected: negated guards do not reach"},
+      {sums + bind, "line 4: malformed objective binding: floor term is neither"},
+      {"p aspmt 1\nS 0 1 1 5\nS 1 1 1 6\nO 0 F 0 1 1\n",
+       "line 4: malformed objective binding: floor term is neither"},
+      {sums + "FP 1 1 0 0 1\n" + bind,
+       "line 5: malformed objective binding: floor pair literal is also"},
+      {sums + "FP 1 3 0 0 1\n", "line 4: floor pair literal is not a term"},
+      {sums + fp + fp, "line 5: floor pair declared twice"},
+      {sums + "FP 7 2 0 0 1\n", "line 4: malformed floor pair"},
+      {sums + "O 0 F 0 1 9\n",
+       "line 4: malformed objective binding: unknown floor sum"},
+      {"p aspmt 1\nN 0\nE 0 0 0 1 0\nFE 1 0 0 1\n",
+       "line 4: malformed floor edge"},
+      {"p aspmt 1\nN 0\nE 0 0 0 1 0\nFE 0 0 0 1\nFE 0 0 0 2\n",
+       "line 5: floor edge declared twice"},
+  };
+  for (const auto& [proof, why] : bad) {
+    const auto r = check(proof);
+    EXPECT_FALSE(r.ok) << proof;
+    EXPECT_NE(r.error.find(why), std::string::npos) << proof << r.error;
+  }
 }
 
 TEST(ProofChecker, CountsPropagationsOfRupAndConclusionChecks) {
@@ -321,10 +418,11 @@ TEST(ProofHints, TheoryTimeIsSplitByTag) {
 }
 
 // A real explorer proof with deletions: a small learnt-database cap makes
-// the solver reduce (and log `D` steps) many times.
+// the solver reduce (and log `D` steps) many times.  mesh_chain, because
+// with objective floors on mesh_small needs fewer than 50 learnt steps.
 std::string proof_with_deletions() {
   const synth::Specification spec = synth::load_specification(
-      std::string(ASPMT_TEST_DATA_DIR) + "/examples/specs/mesh_small.txt");
+      std::string(ASPMT_TEST_DATA_DIR) + "/examples/specs/mesh_chain.txt");
   dse::ExploreOptions opts;
   opts.common.certify = true;
   opts.common.solver_options.learnt_start = 40;
@@ -370,8 +468,8 @@ std::string join_learnt(const LearntLine& l) {
 }
 
 /// Rewrite every hinted learnt step with `mutate(hints, own_id, deleted)`:
-/// own_id is the step's clause id, deleted the id of the latest learnt
-/// clause a D step has retired by then (0: none yet).
+/// own_id is the step's clause id, deleted the id of the latest clause a D
+/// step has retired by then (0: none yet).
 std::string mutate_hints(
     const std::string& proof,
     const std::function<void(std::vector<std::int64_t>&, std::int64_t,
@@ -396,10 +494,14 @@ std::string mutate_hints(
       }
     }
     if (kind == "D") {
-      std::vector<std::int64_t> key = tokens(line.substr(1));
+      const std::size_t end = test::clause_end(line);
+      const std::vector<std::int64_t> trailer = tokens(line.substr(end));
+      std::vector<std::int64_t> key = tokens(line.substr(1, end - 1));
       std::sort(key.begin(), key.end());
       auto it = learnt_ids.find(key);
-      if (it != learnt_ids.end() && !it->second.empty()) {
+      if (!trailer.empty()) {
+        deleted = trailer.front();  // the id trailer names the clause
+      } else if (it != learnt_ids.end() && !it->second.empty()) {
         deleted = it->second.back();
         it->second.pop_back();
       }
@@ -423,6 +525,7 @@ TEST(ProofHints, AdversarialHintsNeverChangeAVerdict) {
   const cert::CheckResult pristine = check(proof, true);
   ASSERT_TRUE(pristine.ok) << pristine.error;
   ASSERT_GT(pristine.deletions, 0U);
+  EXPECT_EQ(pristine.unmatched_deletions, 0U);
   ASSERT_GT(pristine.learnt_clauses, 50U);
   EXPECT_EQ(pristine.rup_fallbacks, 0U);
 
@@ -552,6 +655,169 @@ TEST(ProofMutation, TamperedSumBoundRejected) {
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("theory lemma rejected"), std::string::npos)
       << r.error;
+}
+
+// ---- objective floors ------------------------------------------------------
+
+const synth::Specification& floored_spec() {
+  static const synth::Specification spec = synth::load_specification(
+      std::string(ASPMT_TEST_DATA_DIR) + "/examples/specs/mesh_small.txt");
+  return spec;
+}
+
+/// A certified mesh run, where binding-pair floors fire.
+const std::string& floored_proof() {
+  static const std::string proof = [] {
+    dse::ExploreOptions opts;
+    opts.common.certify = true;
+    const dse::ExploreResult r = dse::explore(floored_spec(), opts);
+    EXPECT_TRUE(r.certified) << r.certificate_error;
+    return r.proof;
+  }();
+  return proof;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+/// Index of the first line starting with `prefix`.
+std::size_t find_line(const std::vector<std::string>& lines,
+                      const std::string& prefix) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind(prefix, 0) == 0) return i;
+  }
+  ADD_FAILURE() << "no line starts with '" << prefix << "'";
+  return 0;
+}
+
+/// The proof verifies, and its floor claims are refused with `why`.
+void expect_claims_refused(const std::string& proof, const std::string& why) {
+  const cert::CheckResult r = check(proof, true);
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::string error = cert::check_floor_claims(floored_spec(), r);
+  EXPECT_NE(error.find(why), std::string::npos) << error;
+}
+
+/// Add `delta` to the weight of literal `lit` in the `S <sum>` line.
+void bump_sum_weight(std::vector<std::string>& lines, std::int64_t sum,
+                     std::int64_t lit, std::int64_t delta) {
+  std::string& line = lines[find_line(lines, "S " + std::to_string(sum) + " ")];
+  std::vector<std::int64_t> t = tokens(line.substr(2));
+  for (std::size_t i = 2; i + 1 < t.size(); i += 2) {
+    if (t[i] == lit) {
+      t[i + 1] += delta;
+      break;
+    }
+  }
+  line = "S";
+  for (const std::int64_t v : t) line += " " + std::to_string(v);
+}
+
+TEST(ObjectiveFloors, CertifiedProofDeclaresFloorsThatTheSpecBacks) {
+  const cert::CheckResult r = check(floored_proof(), true);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_GT(r.floor_pairs.size(), 0U);
+  EXPECT_GT(r.floor_edges.size(), 0U);
+  EXPECT_EQ(cert::check_floor_claims(floored_spec(), r), "");
+  EXPECT_NE(floored_proof().find("\nO 1 F "), std::string::npos)
+      << "the energy axis binds its floor sum";
+}
+
+TEST(ObjectiveFloors, RaisedFloorPairWeightIsRefused) {
+  std::vector<std::string> lines = split_lines(floored_proof());
+  const std::vector<std::int64_t> fp =
+      tokens(lines[find_line(lines, "FP ")].substr(3));
+  bump_sum_weight(lines, fp[0], fp[1], 1);
+  expect_claims_refused(join_lines(lines), "above the message's cheapest");
+}
+
+TEST(ObjectiveFloors, RaisedFloorEdgeWeightIsRefused) {
+  std::vector<std::string> lines = split_lines(floored_proof());
+  const std::int64_t edge = tokens(lines[find_line(lines, "FE ")].substr(3))[0];
+  std::string& line = lines[find_line(lines, "E " + std::to_string(edge) + " ")];
+  std::vector<std::int64_t> t = tokens(line.substr(2));
+  t[3] += 1;  // <edge> <from> <to> <w> ...
+  line = "E";
+  for (const std::int64_t v : t) line += " " + std::to_string(v);
+  expect_claims_refused(join_lines(lines), "above the source WCET");
+}
+
+TEST(ObjectiveFloors, AnUnclaimedFloorEdgeIsRefused) {
+  std::vector<std::string> lines = split_lines(floored_proof());
+  const auto fe = static_cast<std::ptrdiff_t>(find_line(lines, "FE "));
+  lines.erase(lines.begin() + fe);
+  expect_claims_refused(join_lines(lines), "has no claim");
+}
+
+TEST(ObjectiveFloors, AFloorTermWithoutPrimaryTermOrClaimIsRefused) {
+  // Dropping an FP declaration leaves its copair term unaccounted for.
+  std::vector<std::string> lines = split_lines(floored_proof());
+  const std::size_t fp = find_line(lines, "FP ");
+  std::vector<std::string> unclaimed = lines;
+  unclaimed.erase(unclaimed.begin() + static_cast<std::ptrdiff_t>(fp));
+  const cert::CheckResult r = check(join_lines(unclaimed), true);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("floor term is neither a primary term"),
+            std::string::npos)
+      << r.error;
+
+  // A task term heavier in the floor sum than in the primary sum.
+  const std::int64_t floor_sum = tokens(lines[fp].substr(3))[0];
+  const std::string& floor_line =
+      lines[find_line(lines, "S " + std::to_string(floor_sum) + " ")];
+  const std::vector<std::int64_t> t = tokens(floor_line.substr(2));
+  std::int64_t task_lit = 0;
+  for (std::size_t i = 2; i + 1 < t.size() && task_lit == 0; i += 2) {
+    if (floored_proof().find("FP " + std::to_string(floor_sum) + " " +
+                             std::to_string(t[i]) + " ") == std::string::npos) {
+      task_lit = t[i];
+    }
+  }
+  ASSERT_NE(task_lit, 0);
+  bump_sum_weight(lines, floor_sum, task_lit, 1);
+  const cert::CheckResult heavier = check(join_lines(lines), true);
+  EXPECT_FALSE(heavier.ok);
+  EXPECT_NE(heavier.error.find("floor term is neither a primary term"),
+            std::string::npos)
+      << heavier.error;
+}
+
+TEST(ObjectiveFloors, AFloorCitingDominanceLemmaMissingALiteralIsRefused) {
+  const std::vector<std::string> lines = split_lines(floored_proof());
+  std::vector<std::int64_t> pair_lits;
+  for (const std::string& l : lines) {
+    if (l.rfind("FP ", 0) == 0) pair_lits.push_back(tokens(l.substr(3))[1]);
+  }
+  std::size_t cited = 0;
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("T DOM ", 0) != 0) continue;
+    const std::size_t semi = lines[i].find(';');
+    std::vector<std::int64_t> lits = tokens(lines[i].substr(semi + 1));
+    lits.pop_back();  // the terminating 0
+    for (const std::int64_t p : pair_lits) {
+      const auto it = std::find(lits.begin(), lits.end(), -p);
+      if (it == lits.end()) continue;
+      ++cited;
+      std::vector<std::int64_t> fewer = lits;
+      fewer.erase(fewer.begin() + (it - lits.begin()));
+      std::string lemma = lines[i].substr(0, semi + 1);
+      for (const std::int64_t l : fewer) lemma += " " + std::to_string(l);
+      std::vector<std::string> mutated = lines;
+      mutated[i] = lemma + " 0";
+      const cert::CheckResult r = check(join_lines(mutated), true);
+      if (r.ok) continue;  // the lemma had slack: the rest still reaches
+      ++refused;
+      EXPECT_NE(r.error.find("do not reach the dominance threshold"),
+                std::string::npos)
+          << r.error;
+    }
+  }
+  EXPECT_GT(cited, 0U) << "no dominance lemma cites a floor pair";
+  EXPECT_GT(refused, 0U) << "no floor-citing lemma needed its floor literal";
 }
 
 // ---- certify_front end-to-end ----------------------------------------------

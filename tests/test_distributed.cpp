@@ -433,6 +433,34 @@ TEST(Distributed, AdversarialShardResultsAreRejected) {
     EXPECT_FALSE(r.certified);
   }
 
+  // Raised floor edge: shard 0's first declared floor edge weighs one more
+  // than the spec's WCET plus cheapest communication delay allows.  Every
+  // lemma still re-derives (a heavier edge only strengthens bounds), so
+  // only the re-derivation from the spec can refuse it.
+  {
+    auto proofs = run.proofs;
+    std::string& text = proofs[0].proof;
+    const std::size_t fe = text.find("\nFE ");
+    ASSERT_NE(fe, std::string::npos) << "shard 0 declares no floor edge";
+    const std::string edge =
+        text.substr(fe + 4, text.find(' ', fe + 4) - (fe + 4));
+    const std::size_t e = text.find("\nE " + edge + " ");
+    ASSERT_NE(e, std::string::npos);
+    std::istringstream fields(text.substr(e + 3, text.find('\n', e + 1) - e - 3));
+    std::int64_t id = 0, from = 0, to = 0, weight = 0;
+    fields >> id >> from >> to >> weight;
+    const std::string head = "\nE " + edge + " " + std::to_string(from) + " " +
+                             std::to_string(to) + " ";
+    ASSERT_EQ(text.compare(e, head.size(), head), 0);
+    const std::size_t w = e + head.size();
+    text.replace(w, std::to_string(weight).size(), std::to_string(weight + 1));
+    const cert::MergedCertifyResult r = cert::certify_merged(
+        run.spec, run.discoveries, run.front, proofs, 1);
+    EXPECT_FALSE(r.certified);
+    EXPECT_NE(r.error.find("shard 0 floor claim refused"), std::string::npos)
+        << r.error;
+  }
+
   // Forged front: an extra (dominated) point smuggled into the merged front
   // fails the front == non-dominated-filter(union) check.
   {

@@ -125,6 +125,23 @@ TEST(ObjectiveTermSerialize, LeavesMatchTheLegacyBindingBodies) {
   EXPECT_EQ(out, "D 0");
 }
 
+TEST(ObjectiveTermSerialize, AFlooredLeafListsItsFloorSums) {
+  Fixture f;
+  std::string out;
+  ObjectiveTerm::linear("e", &f.linear, f.s1)
+      .with_floor(&f.linear, f.s0)
+      .serialize(out);
+  EXPECT_EQ(out, "F 1 1 0");
+  out.clear();
+  // Inside a combinator the floored leaf is one term like any other.
+  ObjectiveTerm floored = ObjectiveTerm::linear("e", &f.linear, f.s1);
+  floored.with_floor(&f.linear, f.s0);
+  ObjectiveTerm::minmax("m", {ObjectiveTerm::linear("c", &f.linear, f.s0),
+                              std::move(floored)})
+      .serialize(out);
+  EXPECT_EQ(out, "M 2 L 0 F 1 1 0");
+}
+
 TEST(ObjectiveTermSerialize, CombinatorsEmitTheTreeGrammar) {
   Fixture f;
   auto leaf = [&](theory::LinearSumPropagator::SumId s) {

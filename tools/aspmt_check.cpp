@@ -1,7 +1,7 @@
 // aspmt_check — standalone verifier for `p aspmt 1` proof streams and
 // `p aspmt-merged 1` distributed-run containers.
 //
-//   aspmt_check proof.txt [--require-unsat]
+//   aspmt_check proof.txt [--require-unsat] [--spec SPEC]
 //
 // Replays the proof with the solver-independent checker: every learnt
 // clause is RUP-verified (by walking its hinted antecedents when it names
@@ -30,8 +30,15 @@
 // rest of the wall time.  A merged container prints one `steps:` line per
 // shard.
 //
+// `deleted` counts D steps, and `unmatched` those that retired no clause
+// (a proof written by aspmt_dse shows 0 unmatched).  The `floors:` line
+// counts the declared objective-floor sources (FP pairs, FE edges); with
+// --spec their weights are re-derived from that specification, as
+// `explore --certify` does, and a heavier claim rejects the proof.
+//
 // Every literal must have magnitude at most 2^31-1 (the solver's variables
-// are 32-bit); a proof with a larger one is rejected, not replayed.
+// are 32-bit) and at most the proof's length in bytes plus 2^20; a proof
+// with a larger one is rejected, not replayed.
 //
 // Exit code: 0 when the proof verifies, 1 otherwise, 2 on usage errors.
 #include <algorithm>
@@ -47,14 +54,19 @@
 
 #include "cert/certify.hpp"
 #include "cert/checker.hpp"
+#include "synth/specio.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: aspmt_check proof.txt [--require-unsat] [--spec SPEC]\n";
 
 void print_steps(const aspmt::cert::CheckResult& r) {
   std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
             << " learnt (" << r.hinted_learnts << " hinted, " << r.rup_fallbacks
             << " fallbacks), " << r.theory_lemmas << " theory, " << r.deletions
-            << " deleted, " << r.conclusions << " conclusion(s), "
+            << " deleted (" << r.unmatched_deletions << " unmatched), "
+            << r.conclusions << " conclusion(s), "
             << r.feasible_points << " feasible point(s), " << r.propagations
             << " propagations, rup " << std::fixed << std::setprecision(3)
             << r.rup_seconds << " s, theory " << r.theory_seconds << " s (";
@@ -65,7 +77,27 @@ void print_steps(const aspmt::cert::CheckResult& r) {
   std::cout << ")\n" << std::defaultfloat;
 }
 
-int check_merged(const std::string& text) {
+/// Print the `floors:` line of a verified stream; with a spec, re-derive
+/// the floor weights first.  False iff a claim is refused (already printed).
+bool report_floors(const aspmt::cert::CheckResult& r,
+                   const aspmt::synth::Specification* spec) {
+  std::cout << "floors: " << r.floor_pairs.size() << " pair(s), "
+            << r.floor_edges.size() << " edge(s) ";
+  if (spec == nullptr) {
+    std::cout << "declared (weights not re-derived; pass --spec)\n";
+    return true;
+  }
+  const std::string why = aspmt::cert::check_floor_claims(*spec, r);
+  if (!why.empty()) {
+    std::cout << "refused\nREJECTED: floor claim: " << why << "\n";
+    return false;
+  }
+  std::cout << "verified against the spec\n";
+  return true;
+}
+
+int check_merged(const std::string& text,
+                 const aspmt::synth::Specification* spec) {
   using namespace aspmt::cert;
   std::size_t objective = 0;
   std::vector<ShardProof> shards;
@@ -88,6 +120,7 @@ int check_merged(const std::string& text) {
       std::cout << "REJECTED: shard " << i << ": " << r.error << "\n";
       return 1;
     }
+    if (!report_floors(r, spec)) return 1;
     if (r.truncated) {
       std::cout << "REJECTED: shard " << i
                 << " stream truncated — no completeness claim\n";
@@ -117,7 +150,7 @@ int check_merged(const std::string& text) {
     while (std::getline(lines, line)) {
       const std::string head = line.substr(0, line.find(' '));
       if (head == "I" || head == "S" || head == "N" || head == "E" ||
-          head == "O" || head == "PR") {
+          head == "O" || head == "PR" || head == "FP" || head == "FE") {
         shard_core += line + "\n";
       }
     }
@@ -156,22 +189,40 @@ int check_merged(const std::string& text) {
 
 int main(int argc, char** argv) {
   std::string path;
+  std::string spec_path;
   aspmt::cert::CheckOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require-unsat") {
       options.require_global_unsat = true;
+    } else if (arg == "--spec" && i + 1 < argc) {
+      spec_path = argv[++i];
     } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
       path = arg;
     } else {
-      std::cerr << "usage: aspmt_check proof.txt [--require-unsat]\n";
+      std::cerr << kUsage;
       return 2;
     }
   }
   if (path.empty()) {
-    std::cerr << "usage: aspmt_check proof.txt [--require-unsat]\n";
+    std::cerr << kUsage;
     return 2;
   }
+  aspmt::synth::Specification spec;
+  if (!spec_path.empty()) {
+    try {
+      spec = aspmt::synth::load_specification(spec_path);
+    } catch (const std::exception& e) {
+      std::cerr << "cannot load spec '" << spec_path << "': " << e.what() << "\n";
+      return 2;
+    }
+    if (const std::string problem = spec.validate(); !problem.empty()) {
+      std::cerr << "invalid spec '" << spec_path << "': " << problem << "\n";
+      return 2;
+    }
+  }
+  const aspmt::synth::Specification* spec_ptr =
+      spec_path.empty() ? nullptr : &spec;
   std::ifstream in(path);
   if (!in) {
     std::cerr << "cannot read '" << path << "'\n";
@@ -181,7 +232,7 @@ int main(int argc, char** argv) {
   buffer << in.rdbuf();
 
   if (buffer.str().rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
-    return check_merged(buffer.str());
+    return check_merged(buffer.str(), spec_ptr);
   }
 
   const aspmt::cert::CheckResult r = aspmt::cert::check_proof(buffer.str(), options);
@@ -190,6 +241,7 @@ int main(int argc, char** argv) {
     std::cout << "REJECTED: " << r.error << "\n";
     return 1;
   }
+  if (!report_floors(r, spec_ptr)) return 1;
   std::cout << "VERIFIED"
             << (r.concluded_global_unsat ? " (global unsatisfiability concluded)"
                                          : "")
