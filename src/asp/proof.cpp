@@ -1,6 +1,51 @@
 #include "asp/proof.hpp"
 
+#include <utility>
+
 namespace aspmt::asp {
+
+void ProofLog::end_line() {
+  buf_ += '\n';
+  if (buf_.size() >= kChunkBytes) seal();
+}
+
+void ProofLog::seal() {
+  if (buf_.empty()) return;
+  sealed_bytes_ += buf_.size();
+  sealed_.push_back(std::move(buf_));
+  buf_ = std::string();
+  buf_.reserve(kChunkBytes + kChunkBytes / 16);
+  if (sink_) sink_(sealed_.back());
+}
+
+void ProofLog::set_chunk_sink(ChunkSink sink) { sink_ = std::move(sink); }
+
+std::string ProofLog::text() const {
+  std::string out;
+  out.reserve(size_bytes());
+  for (const std::string& chunk : sealed_) out += chunk;
+  out += buf_;
+  return out;
+}
+
+std::string ProofLog::release() {
+  sink_ = nullptr;
+  const std::size_t total = size_bytes();
+  if (!buf_.empty()) sealed_.push_back(std::move(buf_));
+  std::string out;
+  if (sealed_.size() == 1) {
+    out = std::move(sealed_.front());
+  } else {
+    out.reserve(total);
+    for (; !sealed_.empty(); sealed_.pop_front()) {
+      out += sealed_.front();  // each chunk is freed once copied
+    }
+  }
+  sealed_.clear();
+  buf_.clear();
+  sealed_bytes_ = 0;
+  return out;
+}
 
 void ProofLog::append_int(std::int64_t v) {
   buf_ += ' ';
@@ -12,7 +57,8 @@ void ProofLog::append_lit(Lit l) { append_int(proof_int(l)); }
 void ProofLog::clause_step(char kind, std::span<const Lit> lits) {
   buf_ += kind;
   for (const Lit l : lits) append_lit(l);
-  buf_ += " 0\n";
+  buf_ += " 0";
+  end_line();
 }
 
 void ProofLog::def_sum(std::uint32_t sum,
@@ -24,7 +70,7 @@ void ProofLog::def_sum(std::uint32_t sum,
     append_lit(guard);
     append_int(weight);
   }
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_sum_bound(std::uint32_t sum, std::int64_t bound, Lit activation) {
@@ -32,7 +78,7 @@ void ProofLog::def_sum_bound(std::uint32_t sum, std::int64_t bound, Lit activati
   append_int(sum);
   append_int(bound);
   append_int(activation == kLitUndef ? 0 : proof_int(activation));
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_sum_lower_bound(std::uint32_t sum, std::int64_t bound,
@@ -41,13 +87,13 @@ void ProofLog::def_sum_lower_bound(std::uint32_t sum, std::int64_t bound,
   append_int(sum);
   append_int(bound);
   append_int(activation == kLitUndef ? 0 : proof_int(activation));
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_node(std::uint32_t node) {
   buf_ += 'N';
   append_int(node);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_edge(std::uint32_t edge, std::uint32_t from, std::uint32_t to,
@@ -59,7 +105,7 @@ void ProofLog::def_edge(std::uint32_t edge, std::uint32_t from, std::uint32_t to
   append_int(weight);
   append_int(static_cast<std::int64_t>(guards.size()));
   for (const Lit g : guards) append_lit(g);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_node_bound(std::uint32_t node, std::int64_t bound,
@@ -68,7 +114,7 @@ void ProofLog::def_node_bound(std::uint32_t node, std::int64_t bound,
   append_int(node);
   append_int(bound);
   append_int(activation == kLitUndef ? 0 : proof_int(activation));
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_objective_linear(std::size_t objective, std::uint32_t sum) {
@@ -76,7 +122,7 @@ void ProofLog::def_objective_linear(std::size_t objective, std::uint32_t sum) {
   append_int(static_cast<std::int64_t>(objective));
   buf_ += " L";
   append_int(sum);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_objective_diff(std::size_t objective, std::uint32_t node) {
@@ -84,7 +130,7 @@ void ProofLog::def_objective_diff(std::size_t objective, std::uint32_t node) {
   append_int(static_cast<std::int64_t>(objective));
   buf_ += " D";
   append_int(node);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_objective_term(std::size_t objective,
@@ -93,7 +139,7 @@ void ProofLog::def_objective_term(std::size_t objective,
   append_int(static_cast<std::int64_t>(objective));
   buf_ += ' ';
   buf_ += tree_tokens;
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_objective_bound(std::size_t objective, std::int64_t bound,
@@ -102,7 +148,7 @@ void ProofLog::def_objective_bound(std::size_t objective, std::int64_t bound,
   append_int(static_cast<std::int64_t>(objective));
   append_int(bound);
   append_int(activation == kLitUndef ? 0 : proof_int(activation));
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_rule(Lit head, Lit body, std::span<const Lit> positive_heads) {
@@ -111,7 +157,7 @@ void ProofLog::def_rule(Lit head, Lit body, std::span<const Lit> positive_heads)
   append_lit(body);
   append_int(static_cast<std::int64_t>(positive_heads.size()));
   for (const Lit h : positive_heads) append_lit(h);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_floor_pair(std::uint32_t floor_sum, Lit lit,
@@ -123,7 +169,7 @@ void ProofLog::def_floor_pair(std::uint32_t floor_sum, Lit lit,
   append_int(message);
   append_int(src_resource);
   append_int(dst_resource);
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::def_floor_edge(std::uint32_t edge, std::uint32_t message,
@@ -133,7 +179,7 @@ void ProofLog::def_floor_edge(std::uint32_t edge, std::uint32_t message,
   append_int(message);
   append_int(static_cast<std::int64_t>(src_option));
   append_int(static_cast<std::int64_t>(dst_option));
-  buf_ += '\n';
+  end_line();
 }
 
 void ProofLog::delete_clause(std::span<const Lit> lits, ProofId id) {
@@ -144,7 +190,7 @@ void ProofLog::delete_clause(std::span<const Lit> lits, ProofId id) {
     append_int(id);
     buf_ += " 0";
   }
-  buf_ += '\n';
+  end_line();
 }
 
 ProofId ProofLog::learnt_clause(std::span<const Lit> lits,
@@ -156,7 +202,7 @@ ProofId ProofLog::learnt_clause(std::span<const Lit> lits,
     for (const ProofId h : hints) append_int(h);
     buf_ += " 0";
   }
-  buf_ += '\n';
+  end_line();
   return next_id();
 }
 
@@ -175,7 +221,8 @@ ProofId ProofLog::theory_clause(const TheoryJustification& just,
   for (const std::int64_t v : just.payload) append_int(v);
   buf_ += " ;";
   for (const Lit l : lits) append_lit(l);
-  buf_ += " 0\n";
+  buf_ += " 0";
+  end_line();
   return next_id();
 }
 
@@ -183,7 +230,8 @@ ProofId ProofLog::guarded_clause(Lit guard, std::span<const Lit> lits) {
   buf_ += 'G';
   append_lit(guard);
   for (const Lit l : lits) append_lit(l);
-  buf_ += " 0\n";
+  buf_ += " 0";
+  end_line();
   return next_id();
 }
 
@@ -191,7 +239,8 @@ void ProofLog::feasible_point(std::span<const std::int64_t> point) {
   buf_ += 'F';
   append_int(static_cast<std::int64_t>(point.size()));
   for (const std::int64_t v : point) append_int(v);
-  buf_ += " 0\n";
+  buf_ += " 0";
+  end_line();
 }
 
 }  // namespace aspmt::asp

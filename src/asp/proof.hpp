@@ -91,6 +91,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -126,9 +128,24 @@ struct TheoryJustification {
 
 /// Append-only proof stream.  Not thread-safe: in portfolio solving every
 /// worker owns its own log.  Every clause-introducing step returns its id.
+///
+/// The bytes are kept as chunks.  Once the open chunk reaches kChunkBytes
+/// it is sealed at the end of the line that crossed the mark, and a sealed
+/// chunk is never changed or moved again: another thread may read it while
+/// this log keeps growing.  A chunk sink hears of every sealed chunk, which
+/// is how a checker replays the stream while the solver writes it.
 class ProofLog {
  public:
+  static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+  using ChunkSink = std::function<void(std::string_view chunk)>;
+
   ProofLog() { buf_ = "p aspmt 1\n"; }
+
+  /// Hand every chunk to `sink` as it is sealed; set it before the first
+  /// chunk is.  The bytes stay valid until release() or destruction.
+  void set_chunk_sink(ChunkSink sink);
+  /// Seal the open chunk now, if it holds any bytes: the end of a search.
+  void seal();
 
   // ---- constraint-system declarations ------------------------------------
   void def_sum(std::uint32_t sum, std::span<const std::pair<Lit, std::int64_t>> terms);
@@ -174,17 +191,32 @@ class ProofLog {
   void conclude_unsat(std::span<const Lit> assumptions) {
     clause_step('U', assumptions);
   }
-  void sat_marker() { buf_ += "M 0\n"; }
+  void sat_marker() {
+    buf_ += "M 0";
+    end_line();
+  }
   void feasible_point(std::span<const std::int64_t> point);
   /// Honest label for a proof cut short by a budget trip or interrupt: the
   /// prefix stays verifiable step by step, but no Unsat conclusion (and
   /// hence no completeness claim) can follow.
-  void truncation_marker() { buf_ += "X 0\n"; }
+  void truncation_marker() {
+    buf_ += "X 0";
+    end_line();
+  }
 
-  [[nodiscard]] const std::string& text() const noexcept { return buf_; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept { return buf_.size(); }
+  /// The whole stream, copied.
+  [[nodiscard]] std::string text() const;
+  /// The whole stream, moved out: a stream of one chunk is not copied, a
+  /// longer one is concatenated once.  The log is left empty, without a
+  /// sink.
+  [[nodiscard]] std::string release();
+  [[nodiscard]] std::size_t size_bytes() const noexcept {
+    return sealed_bytes_ + buf_.size();
+  }
 
  private:
+  /// End the current line; seal the chunk once it is full.
+  void end_line();
   void clause_step(char kind, std::span<const Lit> lits);
   void append_lit(Lit l);
   void append_int(std::int64_t v);
@@ -194,7 +226,10 @@ class ProofLog {
     return ++clauses_;
   }
 
-  std::string buf_;
+  std::deque<std::string> sealed_;  // a deque never moves its elements
+  std::size_t sealed_bytes_ = 0;
+  std::string buf_;  // the open chunk
+  ChunkSink sink_;
   ProofId clauses_ = 0;  // clause-introducing steps logged so far
 };
 

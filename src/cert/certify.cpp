@@ -81,6 +81,23 @@ std::string arity_error(
   return {};
 }
 
+/// Why a discovery's witness does not vouch for its point: it fails
+/// synth::Validator, or its objectives recompute to another vector.  Empty
+/// when it does.
+std::string witness_error(const synth::Specification& spec,
+                          const pareto::Vec& point,
+                          const synth::Implementation& impl) {
+  const std::string why = synth::validate_implementation(spec, impl);
+  if (!why.empty()) {
+    return "witness for " + pareto::to_string(point) + " invalid: " + why;
+  }
+  if (synth::recompute_objectives(spec, impl) != point) {
+    return "witness objectives disagree with the recorded point " +
+           pareto::to_string(point);
+  }
+  return {};
+}
+
 constexpr std::int64_t kNoPath = std::numeric_limits<std::int64_t>::max();
 
 /// Cheapest cost from every resource to every resource when a link costs
@@ -196,6 +213,59 @@ std::string check_floor_claims(const synth::Specification& spec,
   return {};
 }
 
+FrontCertifier::FrontCertifier(const synth::Specification& spec)
+    : spec_(&spec), checker_([] {
+        CheckOptions copts;
+        copts.require_global_unsat = true;
+        copts.trust_feasible_steps = false;
+        return copts;
+      }()) {}
+
+void FrontCertifier::admit(const pareto::Vec& point,
+                           const synth::Implementation& impl) {
+  if (failed()) return;
+  error_ = witness_error(*spec_, point, impl);
+  if (!error_.empty()) return;
+  points_.push_back(point);
+  checker_.admit(point);
+}
+
+void FrontCertifier::feed(std::string_view bytes) {
+  if (error_.empty()) checker_.feed(bytes);
+}
+
+CertifyResult FrontCertifier::finish(std::span<const pareto::Vec> front) {
+  CertifyResult result;
+  result.witnesses_validated = points_.size();
+  if (!error_.empty()) {
+    result.error = error_;
+    return result;
+  }
+  // The proof must verify with only the admitted points as dominance
+  // sources and must close with a global Unsat conclusion.
+  result.check = checker_.finish();
+  if (!result.check.ok) {
+    result.error = "proof check failed: " + result.check.error;
+    return result;
+  }
+  // Every declared floor weight must follow from the specification.
+  if (std::string why = check_floor_claims(*spec_, result.check); !why.empty()) {
+    result.error = "floor claim refused: " + why;
+    return result;
+  }
+  // The reported front must be exactly the Pareto-minimal subset of the
+  // validated discoveries.
+  std::vector<pareto::Vec> minimal = pareto::non_dominated_filter(points_);
+  std::vector<pareto::Vec> reported(front.begin(), front.end());
+  std::sort(reported.begin(), reported.end());
+  if (reported != minimal) {
+    result.error = "reported front differs from the minimal validated set";
+    return result;
+  }
+  result.certified = true;
+  return result;
+}
+
 CertifyResult certify_front(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,
@@ -203,57 +273,10 @@ CertifyResult certify_front(
   CertifyResult result;
   result.error = arity_error(spec, discoveries, front);
   if (!result.error.empty()) return result;
-
-  // 1. Every discovery needs an independently validated witness whose
-  //    recomputed objectives equal the recorded vector.
-  CheckOptions copts;
-  copts.require_global_unsat = true;
-  copts.trust_feasible_steps = false;
-  copts.feasible_points.reserve(discoveries.size());
-  for (const auto& [point, impl] : discoveries) {
-    const std::string why = synth::validate_implementation(spec, impl);
-    if (!why.empty()) {
-      result.error =
-          "witness for " + pareto::to_string(point) + " invalid: " + why;
-      return result;
-    }
-    if (synth::recompute_objectives(spec, impl) != point) {
-      result.error = "witness objectives disagree with the recorded point " +
-                     pareto::to_string(point);
-      return result;
-    }
-    ++result.witnesses_validated;
-    copts.feasible_points.push_back(point);
-  }
-
-  // 2. The proof must verify with only those points as dominance sources and
-  //    must close with a global Unsat conclusion.
-  result.check = check_proof(proof, copts);
-  if (!result.check.ok) {
-    result.error = "proof check failed: " + result.check.error;
-    return result;
-  }
-  // 2b. Every declared floor weight must follow from the specification.
-  if (std::string why = check_floor_claims(spec, result.check); !why.empty()) {
-    result.error = "floor claim refused: " + why;
-    return result;
-  }
-
-  // 3. The reported front must be exactly the Pareto-minimal subset of the
-  //    validated discoveries.
-  std::vector<pareto::Vec> points;
-  points.reserve(discoveries.size());
-  for (const auto& [point, impl] : discoveries) points.push_back(point);
-  std::vector<pareto::Vec> minimal = pareto::non_dominated_filter(std::move(points));
-  std::vector<pareto::Vec> reported(front.begin(), front.end());
-  std::sort(reported.begin(), reported.end());
-  if (reported != minimal) {
-    result.error = "reported front differs from the minimal validated set";
-    return result;
-  }
-
-  result.certified = true;
-  return result;
+  FrontCertifier certifier(spec);
+  for (const auto& [point, impl] : discoveries) certifier.admit(point, impl);
+  certifier.feed(proof);
+  return certifier.finish(front);
 }
 
 MergedCertifyResult certify_merged(
@@ -277,17 +300,8 @@ MergedCertifyResult certify_merged(
   copts.shard_objective = static_cast<std::int64_t>(shard_objective);
   copts.feasible_points.reserve(discoveries.size());
   for (const auto& [point, impl] : discoveries) {
-    const std::string why = synth::validate_implementation(spec, impl);
-    if (!why.empty()) {
-      result.error =
-          "witness for " + pareto::to_string(point) + " invalid: " + why;
-      return result;
-    }
-    if (synth::recompute_objectives(spec, impl) != point) {
-      result.error = "witness objectives disagree with the recorded point " +
-                     pareto::to_string(point);
-      return result;
-    }
+    result.error = witness_error(spec, point, impl);
+    if (!result.error.empty()) return result;
     ++result.witnesses_validated;
     copts.feasible_points.push_back(point);
   }

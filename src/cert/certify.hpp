@@ -58,11 +58,44 @@ struct CertifyResult {
 [[nodiscard]] std::string check_floor_claims(const synth::Specification& spec,
                                              const CheckResult& check);
 
-/// Certify one exploration run.  `discoveries` must pair every objective
-/// vector the run ever inserted into its archive with the witness
-/// implementation captured for it; `front` is the reported final front.
-/// A discovery or front point whose length is not `spec.axis_count()` is
-/// refused with an "arity mismatch" error in every build type.
+/// certify_front taken piece by piece, in stream order: each discovery is
+/// validated and admitted before the proof bytes that cite it are fed, so
+/// an `F` step or dominance lemma may name only a point admitted earlier.
+/// Not thread-safe (cert/online.hpp runs one on a thread of its own).
+class FrontCertifier {
+ public:
+  /// `spec` must outlive the certifier and satisfy spec.validate().empty().
+  explicit FrontCertifier(const synth::Specification& spec);
+
+  /// Validate a discovery's witness (it must pass synth::Validator and
+  /// recompute to `point`) and admit the point as a dominance source.  A
+  /// refused witness fails the certification.
+  void admit(const pareto::Vec& point, const synth::Implementation& impl);
+  /// Replay the next proof bytes (any split).
+  void feed(std::string_view bytes);
+  /// Certification can no longer succeed.
+  [[nodiscard]] bool failed() const noexcept {
+    return !error_.empty() || checker_.failed();
+  }
+  /// End the stream, which must close with a global Unsat; re-derive its
+  /// floor claims from the spec; compare `front` with the Pareto-minimal
+  /// admitted points.  Call once.
+  [[nodiscard]] CertifyResult finish(std::span<const pareto::Vec> front);
+
+ private:
+  const synth::Specification* spec_;
+  StreamChecker checker_;
+  std::vector<pareto::Vec> points_;  // admitted, in admission order
+  std::string error_;                // the first refused witness
+};
+
+/// Certify one exploration run: a FrontCertifier that admits every
+/// discovery and then takes the whole proof in one feed.  `discoveries`
+/// must pair every objective vector the run ever inserted into its archive
+/// with the witness implementation captured for it; `front` is the reported
+/// final front.  A discovery or front point whose length is not
+/// `spec.axis_count()` is refused with an "arity mismatch" error in every
+/// build type.
 [[nodiscard]] CertifyResult certify_front(
     const synth::Specification& spec,
     std::span<const std::pair<pareto::Vec, synth::Implementation>> discoveries,

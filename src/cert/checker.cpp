@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <utility>
 
 namespace aspmt::cert {
 namespace {
@@ -21,10 +22,11 @@ using Lit = std::int32_t;
 /// Largest variable a proof may mention: the solver's `Var` is 32-bit.
 constexpr std::int64_t kMaxVar = std::numeric_limits<Lit>::max();
 constexpr const char* kOutOfRange = "literal out of range (|lit| > 2^31-1)";
-/// Slack above the proof's length in the variable bound (Checker::max_var_).
+/// Slack above the bytes fed so far in the variable bound
+/// (StreamChecker::Impl::max_var_).
 constexpr std::int64_t kVarSlack = std::int64_t{1} << 20;
 constexpr const char* kBeyondBound =
-    "variable beyond the proof's size bound (its length in bytes + 2^20)";
+    "variable beyond the proof's size bound (bytes fed so far + 2^20)";
 
 [[nodiscard]] constexpr bool in_range(std::int64_t l) noexcept {
   return l >= -kMaxVar && l <= kMaxVar;
@@ -201,13 +203,20 @@ constexpr std::uint32_t kNoClause = std::numeric_limits<std::uint32_t>::max();
   return h;
 }
 
+}  // namespace
+
 /// The whole verification state: clause database with watched-literal unit
 /// propagation plus the declared theory tables.
-class Checker {
+class StreamChecker::Impl {
  public:
-  explicit Checker(const CheckOptions& options) : opts_(options) {}
+  explicit Impl(CheckOptions options) : opts_(std::move(options)) {}
 
-  CheckResult run(std::string_view proof);
+  void feed(std::string_view bytes);
+  void admit(std::vector<std::int64_t> point) {
+    opts_.feasible_points.push_back(std::move(point));
+  }
+  [[nodiscard]] bool failed() const noexcept { return failed_; }
+  CheckResult finish();
 
  private:
   // ---- unit propagation ---------------------------------------------------
@@ -1050,8 +1059,25 @@ class Checker {
     result_.shard_boxes.push_back({lo, hi});
   }
 
+  /// Record the first failure at the current line; returns false.
+  bool fail(std::string_view what) {
+    failed_ = true;
+    result_.ok = false;
+    result_.error = "line " + std::to_string(line_no_) + ": " + std::string(what);
+    return false;
+  }
+
+  /// Check one step (a line without its newline).  False once it fails.
+  bool step(const char* begin, const char* end);
+
   CheckOptions opts_;
   CheckResult result_;
+  std::size_t line_no_ = 0;
+  bool saw_header_ = false;
+  bool failed_ = false;
+  std::size_t fed_ = 0;  // bytes fed so far
+  std::string carry_;    // the unterminated last line of the bytes fed
+  Lits lits_;            // the literals of the step being checked
 
   std::vector<std::int8_t> assign_;  // var -> -1/0/+1
   std::vector<Lit> trail_;
@@ -1097,375 +1123,407 @@ class Checker {
   std::map<std::int64_t, std::vector<std::array<std::int64_t, 3>>> act_bounds_;
 };
 
-CheckResult Checker::run(std::string_view proof) {
-  std::size_t line_no = 0;
-  bool saw_header = false;
+void StreamChecker::Impl::feed(std::string_view bytes) {
+  if (failed_ || bytes.empty()) return;
+  fed_ += bytes.size();
   max_var_ = static_cast<std::int64_t>(std::min<std::size_t>(
-                 proof.size(), static_cast<std::size_t>(kMaxVar - kVarSlack))) +
+                 fed_, static_cast<std::size_t>(kMaxVar - kVarSlack))) +
              kVarSlack;
-  auto fail = [&](std::string_view what) {
-    result_.ok = false;
-    result_.error = "line " + std::to_string(line_no) + ": " + std::string(what);
-    return result_;
-  };
-
-  const char* cursor = proof.data();
-  const char* const end = proof.data() + proof.size();
-  Lits lits;
+  const char* cursor = bytes.data();
+  const char* const end = bytes.data() + bytes.size();
+  if (!carry_.empty()) {
+    // Complete the line the previous feed left open.
+    const char* eol = std::find(cursor, end, '\n');
+    carry_.append(cursor, eol);
+    if (eol == end) return;
+    cursor = eol + 1;
+    const bool ok = step(carry_.data(), carry_.data() + carry_.size());
+    carry_.clear();
+    if (!ok) return;
+  }
   while (cursor < end) {
     const char* eol = std::find(cursor, end, '\n');
-    Line line(cursor, eol);
-    cursor = eol == end ? end : eol + 1;
-    ++line_no;
-
-    std::string_view kind;
-    if (!line.word(kind)) continue;  // blank line
-    if (!saw_header) {
-      std::string_view fmt;
-      std::string_view version;
-      if (kind != "p" || !line.word(fmt) || fmt != "aspmt" ||
-          !line.word(version) || version != "1") {
-        return fail("missing or unsupported 'p aspmt 1' header");
-      }
-      saw_header = true;
-      continue;
+    if (eol == end) {
+      carry_.assign(cursor, end);
+      return;
     }
-
-    if (kind == "I" || kind == "L") {
-      if (const char* bad = read_lits(line, lits, "unterminated clause")) {
-        return fail(bad);
-      }
-      canonicalize(lits);
-      if (kind == "L") {
-        if (const char* bad = read_hints(line)) return fail(bad);
-        const Clock::time_point start = Clock::now();
-        bool ok = !hints_.empty() && walk_hints(lits);
-        if (ok) {
-          ++result_.hinted_learnts;
-        } else {
-          ++result_.rup_fallbacks;
-          ok = rup(lits);
-        }
-        result_.rup_seconds += seconds_since(start);
-        if (!ok) return fail("learnt clause is not RUP");
-        ++result_.learnt_clauses;
-      } else {
-        if (!note_structural_lits(lits)) {
-          return fail("input clause mentions a replay guard variable");
-        }
-        ++result_.input_clauses;
-      }
-      install(lits);
-    } else if (kind == "G") {
-      if (const char* bad = read_lits(line, lits, "unterminated guarded clause")) {
-        return fail(bad);
-      }
-      if (lits.empty()) return fail("guarded clause without a guard literal");
-      const std::int64_t guard = lits.front();
-      if (guard <= 0) return fail("guard literal must be positive");
-      if ((flags(guard) & kAxiomVar) != 0) {
-        return fail("guard variable is not fresh w.r.t. the axioms");
-      }
-      for (std::size_t i = 1; i < lits.size(); ++i) {
-        if (std::abs(lits[i]) == guard) {
-          return fail("guard variable occurs in its own clause tail");
-        }
-        std::uint8_t& f = flags(lits[i]);
-        if ((f & kGuardVar) != 0) {
-          return fail("guarded clause tail mentions a guard variable");
-        }
-        f |= kAxiomVar | kStructuralVar;
-      }
-      flags(guard) |= kGuardVar;
-      lits.front() = -guard;  // the clause is the tail plus the guard's negation
-      canonicalize(lits);
-      ++result_.guarded_clauses;
-      install(lits);
-    } else if (kind == "T") {
-      std::string_view tag;
-      if (!line.word(tag)) return fail("theory step without tag");
-      payload_.clear();
-      std::string_view tok;
-      bool separated = false;
-      while (line.word(tok)) {
-        if (tok == ";") {
-          separated = true;
-          break;
-        }
-        std::int64_t v = 0;
-        const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-        if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
-          return fail("malformed theory payload");
-        }
-        payload_.push_back(v);
-      }
-      if (!separated) return fail("theory step without ';' separator");
-      if (const char* bad = read_lits(line, lits, "unterminated clause")) {
-        return fail(bad);
-      }
-      canonicalize(lits);
-      if (!note_axiom_lits(lits)) {
-        return fail("theory lemma mentions a replay guard variable");
-      }
-      const Clock::time_point start = Clock::now();
-      const std::string why = verify_lemma(tag, payload_, lits);
-      const double took = seconds_since(start);
-      result_.theory_seconds += took;
-      const auto* slot = std::find(kTheoryTags.begin(), kTheoryTags.end(), tag);
-      if (slot != kTheoryTags.end()) {
-        result_.theory_tag_seconds[static_cast<std::size_t>(
-            slot - kTheoryTags.begin())] += took;
-      }
-      if (!why.empty()) return fail("theory lemma rejected: " + why);
-      ++result_.theory_lemmas;
-      install(lits);
-    } else if (kind == "D") {
-      if (const char* bad = read_lits(line, lits, "unterminated deletion")) {
-        return fail(bad);
-      }
-      bool matched = false;
-      if (line.at_end()) {
-        canonicalize(lits);
-        matched = remove(lits);
-      } else {
-        std::int64_t id = 0;
-        std::int64_t zero = 0;
-        if (!line.integer(id) || id < 1 || !line.integer(zero) || zero != 0 ||
-            !line.at_end()) {
-          return fail("malformed deletion id");
-        }
-        matched = retire(id);
-      }
-      ++result_.deletions;
-      if (!matched) ++result_.unmatched_deletions;
-    } else if (kind == "U") {
-      if (const char* bad = read_lits(line, lits, "unterminated conclusion")) {
-        return fail(bad);
-      }
-      const Clock::time_point start = Clock::now();
-      const bool refuted = refutes_assumptions(lits);
-      result_.rup_seconds += seconds_since(start);
-      if (!refuted) {
-        return fail("Unsat conclusion is not supported by the database");
-      }
-      ++result_.conclusions;
-      if (lits.empty()) result_.concluded_global_unsat = true;
-      if (opts_.shard_objective >= 0) maybe_record_shard_box(lits);
-    } else if (kind == "M") {
-      // model marker — nothing to verify on the proof side
-    } else if (kind == "X") {
-      std::int64_t zero = 0;
-      if (!line.integer(zero) || zero != 0) {
-        return fail("malformed truncation marker");
-      }
-      result_.truncated = true;
-    } else if (kind == "F") {
-      std::int64_t k = 0;
-      if (!line.count(k)) return fail("malformed feasible point");
-      std::vector<std::int64_t> point(static_cast<std::size_t>(k));
-      for (auto& v : point) {
-        if (!line.integer(v)) return fail("malformed feasible point");
-      }
-      std::int64_t zero = 0;
-      if (!line.integer(zero) || zero != 0) {
-        return fail("unterminated feasible point");
-      }
-      if (!opts_.trust_feasible_steps &&
-          std::find(opts_.feasible_points.begin(), opts_.feasible_points.end(),
-                    point) == opts_.feasible_points.end()) {
-        return fail("feasible point lacks a validated witness");
-      }
-      feasible_.push_back(std::move(point));
-      ++result_.feasible_points;
-    } else if (kind == "S") {
-      std::int64_t id = 0;
-      std::int64_t n = 0;
-      if (!line.integer(id) || !line.count(n) ||
-          id != static_cast<std::int64_t>(sums_.size())) {
-        return fail("malformed sum definition");
-      }
-      std::vector<std::pair<std::int64_t, std::int64_t>> terms;
-      terms.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        std::int64_t guard = 0;
-        std::int64_t weight = 0;
-        if (!read_lit(line, guard) || !line.integer(weight) || guard == 0 ||
-            weight < 0) {
-          return fail("malformed sum term");
-        }
-        if (!note_structural_var(guard)) {
-          return fail("sum term mentions a replay guard variable");
-        }
-        terms.emplace_back(guard, weight);
-      }
-      sums_.push_back(std::move(terms));
-    } else if (kind == "SB") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
-          id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
-        return fail("malformed sum bound");
-      }
-      if (!note_axiom_var(act)) {
-        return fail("sum bound mentions a replay guard variable");
-      }
-      sum_bounds_.insert({id, bound, act});
-      note_bound_act(0, id, bound, act);
-    } else if (kind == "SL") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
-          id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
-        return fail("malformed sum floor");
-      }
-      if (!note_axiom_var(act)) {
-        return fail("sum floor mentions a replay guard variable");
-      }
-      sum_lower_bounds_.insert({id, bound, act});
-      note_bound_act(1, id, bound, act);
-    } else if (kind == "N") {
-      std::int64_t id = 0;
-      if (!line.integer(id) || id != num_nodes_) {
-        return fail("malformed node definition");
-      }
-      ++num_nodes_;
-    } else if (kind == "E") {
-      std::int64_t id = 0;
-      Edge e;
-      std::int64_t n = 0;
-      if (!line.integer(id) || !line.integer(e.from) || !line.integer(e.to) ||
-          !line.integer(e.weight) || !line.count(n) ||
-          id != static_cast<std::int64_t>(edges_.size()) || e.from < 0 ||
-          e.from >= num_nodes_ || e.to < 0 || e.to >= num_nodes_) {
-        return fail("malformed edge definition");
-      }
-      e.guards.resize(static_cast<std::size_t>(n));
-      for (auto& g : e.guards) {
-        if (!read_lit(line, g) || g == 0) return fail("malformed edge guard");
-        if (!note_structural_var(g)) {
-          return fail("edge guard mentions a replay guard variable");
-        }
-      }
-      edges_.push_back(std::move(e));
-    } else if (kind == "NB") {
-      std::int64_t id = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
-          id < 0 || id >= num_nodes_) {
-        return fail("malformed node bound");
-      }
-      if (!note_axiom_var(act)) {
-        return fail("node bound mentions a replay guard variable");
-      }
-      node_bounds_.insert({id, bound, act});
-      note_bound_act(2, id, bound, act);
-    } else if (kind == "O") {
-      std::int64_t obj = 0;
-      if (!line.integer(obj) || obj < 0) {
-        return fail("malformed objective binding");
-      }
-      ObjTree tree;
-      std::size_t nodes = 0;
-      const std::string why = parse_obj_tree(line, tree, 0, nodes);
-      if (!why.empty()) return fail("malformed objective binding: " + why);
-      std::string_view rest;
-      if (line.word(rest)) {
-        return fail("malformed objective binding: trailing tokens");
-      }
-      if (objectives_.size() < static_cast<std::size_t>(obj) + 1) {
-        objectives_.resize(static_cast<std::size_t>(obj) + 1);
-      }
-      objectives_[static_cast<std::size_t>(obj)] = std::move(tree);
-    } else if (kind == "OB") {
-      std::int64_t obj = 0;
-      std::int64_t bound = 0;
-      std::int64_t act = 0;
-      if (!line.integer(obj) || !line.integer(bound) || !read_lit(line, act) ||
-          obj < 0 || static_cast<std::size_t>(obj) >= objectives_.size() ||
-          objectives_[static_cast<std::size_t>(obj)].kind == 0) {
-        return fail("combinator bound on an undeclared objective");
-      }
-      if (!note_axiom_var(act)) {
-        return fail("combinator bound mentions a replay guard variable");
-      }
-      comb_bounds_.insert({obj, bound, act});
-      note_bound_act(3, obj, bound, act);
-    } else if (kind == "FP") {
-      FloorPairClaim c;
-      if (!line.integer(c.floor_sum) || !read_lit(line, c.lit) || c.lit == 0 ||
-          !line.integer(c.message) || !line.integer(c.src_resource) ||
-          !line.integer(c.dst_resource) || !line.at_end() ||
-          !known_sum(c.floor_sum)) {
-        return fail("malformed floor pair");
-      }
-      __int128 weight = 0;
-      bool term = false;
-      for (const auto& [g, w] : sums_[static_cast<std::size_t>(c.floor_sum)]) {
-        if (g != c.lit) continue;
-        weight += w;
-        term = true;
-      }
-      if (!term) return fail("floor pair literal is not a term of its floor sum");
-      if (!floor_pair_keys_.insert({c.floor_sum, c.lit}).second) {
-        return fail("floor pair declared twice");
-      }
-      c.weight = static_cast<std::int64_t>(std::min<__int128>(
-          weight, std::numeric_limits<std::int64_t>::max()));
-      result_.floor_pairs.push_back(c);
-    } else if (kind == "FE") {
-      FloorEdgeClaim c;
-      if (!line.integer(c.edge) || !line.integer(c.message) ||
-          !line.integer(c.src_option) || !line.integer(c.dst_option) ||
-          !line.at_end() || c.edge < 0 ||
-          c.edge >= static_cast<std::int64_t>(edges_.size())) {
-        return fail("malformed floor edge");
-      }
-      if (!floor_edge_keys_.insert(c.edge).second) {
-        return fail("floor edge declared twice");
-      }
-      c.weight = edges_[static_cast<std::size_t>(c.edge)].weight;
-      result_.floor_edges.push_back(c);
-    } else if (kind == "PR") {
-      Rule r;
-      std::int64_t n = 0;
-      if (!read_lit(line, r.head) || r.head == 0 || !read_lit(line, r.body) ||
-          r.body == 0 || !line.count(n)) {
-        return fail("malformed program rule");
-      }
-      r.pos_heads.resize(static_cast<std::size_t>(n));
-      for (auto& h : r.pos_heads) {
-        if (!read_lit(line, h) || h == 0) return fail("malformed program rule");
-      }
-      if (!note_structural_var(r.head) || !note_structural_var(r.body) ||
-          !note_structural_lits(r.pos_heads)) {
-        return fail("program rule mentions a replay guard variable");
-      }
-      rules_.push_back(std::move(r));
-    } else {
-      return fail("unknown step kind '" + std::string(kind) + "'");
-    }
+    if (!step(cursor, eol)) return;
+    cursor = eol + 1;
   }
-
-  if (!saw_header) {
-    ++line_no;
-    return fail("empty proof");
-  }
-  if (opts_.require_global_unsat && !result_.concluded_global_unsat) {
-    ++line_no;
-    return fail("proof never concludes global unsatisfiability");
-  }
-  result_.ok = true;
-  return result_;
 }
 
-}  // namespace
+CheckResult StreamChecker::Impl::finish() {
+  if (!failed_ && !carry_.empty()) {
+    (void)step(carry_.data(), carry_.data() + carry_.size());
+    carry_.clear();
+  }
+  if (failed_) return std::move(result_);
+  if (!saw_header_) {
+    ++line_no_;
+    fail("empty proof");
+  } else if (opts_.require_global_unsat && !result_.concluded_global_unsat) {
+    ++line_no_;
+    fail("proof never concludes global unsatisfiability");
+  } else {
+    result_.ok = true;
+  }
+  return std::move(result_);
+}
+
+bool StreamChecker::Impl::step(const char* begin, const char* end) {
+  Line line(begin, end);
+  ++line_no_;
+
+  std::string_view kind;
+  if (!line.word(kind)) return true;  // blank line
+  if (!saw_header_) {
+    std::string_view fmt;
+    std::string_view version;
+    if (kind != "p" || !line.word(fmt) || fmt != "aspmt" ||
+        !line.word(version) || version != "1") {
+      return fail("missing or unsupported 'p aspmt 1' header");
+    }
+    saw_header_ = true;
+    return true;
+  }
+
+  if (kind == "I" || kind == "L") {
+    if (const char* bad = read_lits(line, lits_, "unterminated clause")) {
+      return fail(bad);
+    }
+    canonicalize(lits_);
+    if (kind == "L") {
+      if (const char* bad = read_hints(line)) return fail(bad);
+      const Clock::time_point start = Clock::now();
+      bool ok = !hints_.empty() && walk_hints(lits_);
+      if (ok) {
+        ++result_.hinted_learnts;
+      } else {
+        ++result_.rup_fallbacks;
+        ok = rup(lits_);
+      }
+      result_.rup_seconds += seconds_since(start);
+      if (!ok) return fail("learnt clause is not RUP");
+      ++result_.learnt_clauses;
+    } else {
+      if (!note_structural_lits(lits_)) {
+        return fail("input clause mentions a replay guard variable");
+      }
+      ++result_.input_clauses;
+    }
+    install(lits_);
+  } else if (kind == "G") {
+    if (const char* bad = read_lits(line, lits_, "unterminated guarded clause")) {
+      return fail(bad);
+    }
+    if (lits_.empty()) return fail("guarded clause without a guard literal");
+    const std::int64_t guard = lits_.front();
+    if (guard <= 0) return fail("guard literal must be positive");
+    if ((flags(guard) & kAxiomVar) != 0) {
+      return fail("guard variable is not fresh w.r.t. the axioms");
+    }
+    for (std::size_t i = 1; i < lits_.size(); ++i) {
+      if (std::abs(lits_[i]) == guard) {
+        return fail("guard variable occurs in its own clause tail");
+      }
+      std::uint8_t& f = flags(lits_[i]);
+      if ((f & kGuardVar) != 0) {
+        return fail("guarded clause tail mentions a guard variable");
+      }
+      f |= kAxiomVar | kStructuralVar;
+    }
+    flags(guard) |= kGuardVar;
+    lits_.front() = -guard;  // the clause is the tail plus the guard's negation
+    canonicalize(lits_);
+    ++result_.guarded_clauses;
+    install(lits_);
+  } else if (kind == "T") {
+    std::string_view tag;
+    if (!line.word(tag)) return fail("theory step without tag");
+    payload_.clear();
+    std::string_view tok;
+    bool separated = false;
+    while (line.word(tok)) {
+      if (tok == ";") {
+        separated = true;
+        break;
+      }
+      std::int64_t v = 0;
+      const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+      if (res.ec != std::errc{} || res.ptr != tok.data() + tok.size()) {
+        return fail("malformed theory payload");
+      }
+      payload_.push_back(v);
+    }
+    if (!separated) return fail("theory step without ';' separator");
+    if (const char* bad = read_lits(line, lits_, "unterminated clause")) {
+      return fail(bad);
+    }
+    canonicalize(lits_);
+    if (!note_axiom_lits(lits_)) {
+      return fail("theory lemma mentions a replay guard variable");
+    }
+    const Clock::time_point start = Clock::now();
+    const std::string why = verify_lemma(tag, payload_, lits_);
+    const double took = seconds_since(start);
+    result_.theory_seconds += took;
+    const auto* slot = std::find(kTheoryTags.begin(), kTheoryTags.end(), tag);
+    if (slot != kTheoryTags.end()) {
+      result_.theory_tag_seconds[static_cast<std::size_t>(
+          slot - kTheoryTags.begin())] += took;
+    }
+    if (!why.empty()) return fail("theory lemma rejected: " + why);
+    ++result_.theory_lemmas;
+    install(lits_);
+  } else if (kind == "D") {
+    if (const char* bad = read_lits(line, lits_, "unterminated deletion")) {
+      return fail(bad);
+    }
+    bool matched = false;
+    if (line.at_end()) {
+      canonicalize(lits_);
+      matched = remove(lits_);
+    } else {
+      std::int64_t id = 0;
+      std::int64_t zero = 0;
+      if (!line.integer(id) || id < 1 || !line.integer(zero) || zero != 0 ||
+          !line.at_end()) {
+        return fail("malformed deletion id");
+      }
+      matched = retire(id);
+    }
+    ++result_.deletions;
+    if (!matched) ++result_.unmatched_deletions;
+  } else if (kind == "U") {
+    if (const char* bad = read_lits(line, lits_, "unterminated conclusion")) {
+      return fail(bad);
+    }
+    const Clock::time_point start = Clock::now();
+    const bool refuted = refutes_assumptions(lits_);
+    result_.rup_seconds += seconds_since(start);
+    if (!refuted) {
+      return fail("Unsat conclusion is not supported by the database");
+    }
+    ++result_.conclusions;
+    if (lits_.empty()) result_.concluded_global_unsat = true;
+    if (opts_.shard_objective >= 0) maybe_record_shard_box(lits_);
+  } else if (kind == "M") {
+    // model marker — nothing to verify on the proof side
+  } else if (kind == "X") {
+    std::int64_t zero = 0;
+    if (!line.integer(zero) || zero != 0) {
+      return fail("malformed truncation marker");
+    }
+    result_.truncated = true;
+  } else if (kind == "F") {
+    std::int64_t k = 0;
+    if (!line.count(k)) return fail("malformed feasible point");
+    std::vector<std::int64_t> point(static_cast<std::size_t>(k));
+    for (auto& v : point) {
+      if (!line.integer(v)) return fail("malformed feasible point");
+    }
+    std::int64_t zero = 0;
+    if (!line.integer(zero) || zero != 0) {
+      return fail("unterminated feasible point");
+    }
+    if (!opts_.trust_feasible_steps &&
+        std::find(opts_.feasible_points.begin(), opts_.feasible_points.end(),
+                  point) == opts_.feasible_points.end()) {
+      return fail("feasible point lacks a validated witness");
+    }
+    feasible_.push_back(std::move(point));
+    ++result_.feasible_points;
+  } else if (kind == "S") {
+    std::int64_t id = 0;
+    std::int64_t n = 0;
+    if (!line.integer(id) || !line.count(n) ||
+        id != static_cast<std::int64_t>(sums_.size())) {
+      return fail("malformed sum definition");
+    }
+    std::vector<std::pair<std::int64_t, std::int64_t>> terms;
+    terms.reserve(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      std::int64_t guard = 0;
+      std::int64_t weight = 0;
+      if (!read_lit(line, guard) || !line.integer(weight) || guard == 0 ||
+          weight < 0) {
+        return fail("malformed sum term");
+      }
+      if (!note_structural_var(guard)) {
+        return fail("sum term mentions a replay guard variable");
+      }
+      terms.emplace_back(guard, weight);
+    }
+    sums_.push_back(std::move(terms));
+  } else if (kind == "SB") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
+        id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
+      return fail("malformed sum bound");
+    }
+    if (!note_axiom_var(act)) {
+      return fail("sum bound mentions a replay guard variable");
+    }
+    sum_bounds_.insert({id, bound, act});
+    note_bound_act(0, id, bound, act);
+  } else if (kind == "SL") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
+        id < 0 || static_cast<std::size_t>(id) >= sums_.size()) {
+      return fail("malformed sum floor");
+    }
+    if (!note_axiom_var(act)) {
+      return fail("sum floor mentions a replay guard variable");
+    }
+    sum_lower_bounds_.insert({id, bound, act});
+    note_bound_act(1, id, bound, act);
+  } else if (kind == "N") {
+    std::int64_t id = 0;
+    if (!line.integer(id) || id != num_nodes_) {
+      return fail("malformed node definition");
+    }
+    ++num_nodes_;
+  } else if (kind == "E") {
+    std::int64_t id = 0;
+    Edge e;
+    std::int64_t n = 0;
+    if (!line.integer(id) || !line.integer(e.from) || !line.integer(e.to) ||
+        !line.integer(e.weight) || !line.count(n) ||
+        id != static_cast<std::int64_t>(edges_.size()) || e.from < 0 ||
+        e.from >= num_nodes_ || e.to < 0 || e.to >= num_nodes_) {
+      return fail("malformed edge definition");
+    }
+    e.guards.resize(static_cast<std::size_t>(n));
+    for (auto& g : e.guards) {
+      if (!read_lit(line, g) || g == 0) return fail("malformed edge guard");
+      if (!note_structural_var(g)) {
+        return fail("edge guard mentions a replay guard variable");
+      }
+    }
+    edges_.push_back(std::move(e));
+  } else if (kind == "NB") {
+    std::int64_t id = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(id) || !line.integer(bound) || !read_lit(line, act) ||
+        id < 0 || id >= num_nodes_) {
+      return fail("malformed node bound");
+    }
+    if (!note_axiom_var(act)) {
+      return fail("node bound mentions a replay guard variable");
+    }
+    node_bounds_.insert({id, bound, act});
+    note_bound_act(2, id, bound, act);
+  } else if (kind == "O") {
+    std::int64_t obj = 0;
+    if (!line.integer(obj) || obj < 0) {
+      return fail("malformed objective binding");
+    }
+    ObjTree tree;
+    std::size_t nodes = 0;
+    const std::string why = parse_obj_tree(line, tree, 0, nodes);
+    if (!why.empty()) return fail("malformed objective binding: " + why);
+    std::string_view rest;
+    if (line.word(rest)) {
+      return fail("malformed objective binding: trailing tokens");
+    }
+    if (objectives_.size() < static_cast<std::size_t>(obj) + 1) {
+      objectives_.resize(static_cast<std::size_t>(obj) + 1);
+    }
+    objectives_[static_cast<std::size_t>(obj)] = std::move(tree);
+  } else if (kind == "OB") {
+    std::int64_t obj = 0;
+    std::int64_t bound = 0;
+    std::int64_t act = 0;
+    if (!line.integer(obj) || !line.integer(bound) || !read_lit(line, act) ||
+        obj < 0 || static_cast<std::size_t>(obj) >= objectives_.size() ||
+        objectives_[static_cast<std::size_t>(obj)].kind == 0) {
+      return fail("combinator bound on an undeclared objective");
+    }
+    if (!note_axiom_var(act)) {
+      return fail("combinator bound mentions a replay guard variable");
+    }
+    comb_bounds_.insert({obj, bound, act});
+    note_bound_act(3, obj, bound, act);
+  } else if (kind == "FP") {
+    FloorPairClaim c;
+    if (!line.integer(c.floor_sum) || !read_lit(line, c.lit) || c.lit == 0 ||
+        !line.integer(c.message) || !line.integer(c.src_resource) ||
+        !line.integer(c.dst_resource) || !line.at_end() ||
+        !known_sum(c.floor_sum)) {
+      return fail("malformed floor pair");
+    }
+    __int128 weight = 0;
+    bool term = false;
+    for (const auto& [g, w] : sums_[static_cast<std::size_t>(c.floor_sum)]) {
+      if (g != c.lit) continue;
+      weight += w;
+      term = true;
+    }
+    if (!term) return fail("floor pair literal is not a term of its floor sum");
+    if (!floor_pair_keys_.insert({c.floor_sum, c.lit}).second) {
+      return fail("floor pair declared twice");
+    }
+    c.weight = static_cast<std::int64_t>(std::min<__int128>(
+        weight, std::numeric_limits<std::int64_t>::max()));
+    result_.floor_pairs.push_back(c);
+  } else if (kind == "FE") {
+    FloorEdgeClaim c;
+    if (!line.integer(c.edge) || !line.integer(c.message) ||
+        !line.integer(c.src_option) || !line.integer(c.dst_option) ||
+        !line.at_end() || c.edge < 0 ||
+        c.edge >= static_cast<std::int64_t>(edges_.size())) {
+      return fail("malformed floor edge");
+    }
+    if (!floor_edge_keys_.insert(c.edge).second) {
+      return fail("floor edge declared twice");
+    }
+    c.weight = edges_[static_cast<std::size_t>(c.edge)].weight;
+    result_.floor_edges.push_back(c);
+  } else if (kind == "PR") {
+    Rule r;
+    std::int64_t n = 0;
+    if (!read_lit(line, r.head) || r.head == 0 || !read_lit(line, r.body) ||
+        r.body == 0 || !line.count(n)) {
+      return fail("malformed program rule");
+    }
+    r.pos_heads.resize(static_cast<std::size_t>(n));
+    for (auto& h : r.pos_heads) {
+      if (!read_lit(line, h) || h == 0) return fail("malformed program rule");
+    }
+    if (!note_structural_var(r.head) || !note_structural_var(r.body) ||
+        !note_structural_lits(r.pos_heads)) {
+      return fail("program rule mentions a replay guard variable");
+    }
+    rules_.push_back(std::move(r));
+  } else {
+    return fail("unknown step kind '" + std::string(kind) + "'");
+  }
+  return true;
+}
+
+StreamChecker::StreamChecker(CheckOptions options)
+    : impl_(std::make_unique<Impl>(std::move(options))) {}
+StreamChecker::~StreamChecker() = default;
+
+void StreamChecker::feed(std::string_view bytes) { impl_->feed(bytes); }
+
+void StreamChecker::admit(std::vector<std::int64_t> point) {
+  impl_->admit(std::move(point));
+}
+
+bool StreamChecker::failed() const noexcept { return impl_->failed(); }
+
+CheckResult StreamChecker::finish() { return impl_->finish(); }
 
 CheckResult check_proof(std::string_view proof, const CheckOptions& options) {
-  Checker checker(options);
-  return checker.run(proof);
+  StreamChecker checker(options);
+  checker.feed(proof);
+  return checker.finish();
 }
 
 }  // namespace aspmt::cert

@@ -21,13 +21,21 @@
 // declared floor source (CheckResult::floor_pairs / floor_edges) from the
 // specification.
 //
-// Resource contract: a proof may mention variables up to its own length in
-// bytes plus 2^20; the per-variable arrays are sized by that bound, so a
-// short proof naming a huge variable is rejected rather than allocated for.
+// The checker is incremental: a StreamChecker takes the stream in pieces
+// split anywhere (a partial last line is carried over to the next piece),
+// so it can replay a proof while the solver is still writing it.
+// check_proof is one feed of the whole text; both give the same verdicts,
+// counts and line-numbered errors.
+//
+// Resource contract: a step may mention variables up to the number of bytes
+// fed so far plus 2^20 (for one feed of the whole proof: its length in bytes
+// plus 2^20); the per-variable arrays are sized by that bound, so a short
+// proof naming a huge variable is rejected rather than allocated for.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,8 +55,9 @@ struct CheckOptions {
   /// instead, so only externally validated witnesses count.
   bool trust_feasible_steps = true;
   /// Externally certified feasible objective vectors.  When
-  /// trust_feasible_steps is false these are the only admissible dominance
-  /// sources, and every `F` step must match one of them.
+  /// trust_feasible_steps is false these — and the points a StreamChecker
+  /// admits later — are the only admissible dominance sources, and every
+  /// `F` step must match one of them.
   std::vector<std::vector<std::int64_t>> feasible_points;
   /// When >= 0, extract *shard boxes* on this (linear) objective: every
   /// verified Unsat conclusion whose assumptions are all pure bound
@@ -147,7 +156,32 @@ struct CheckResult {
   std::string error;
 };
 
-/// Replay and verify a complete proof stream.
+/// Replays a proof stream fed piece by piece.  Not thread-safe: one thread
+/// feeds, admits and finishes.
+class StreamChecker {
+ public:
+  explicit StreamChecker(CheckOptions options = {});
+  ~StreamChecker();
+
+  /// Replay the next bytes of the stream; any split is allowed.  Complete
+  /// lines are checked now, a trailing partial line when the next feed (or
+  /// finish) completes it.  After the first failure the rest is ignored.
+  void feed(std::string_view bytes);
+  /// Admit a validated feasible point (CheckOptions::feasible_points): `F`
+  /// steps and dominance lemmas fed after this call may cite it.
+  void admit(std::vector<std::int64_t> point);
+  /// A fed step has been refused; finish() reports which.
+  [[nodiscard]] bool failed() const noexcept;
+  /// Check the final unterminated line, if any, and the end-of-stream
+  /// conditions (a header, a global Unsat when required).  Call once.
+  [[nodiscard]] CheckResult finish();
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Replay and verify a complete proof stream: one StreamChecker feed.
 [[nodiscard]] CheckResult check_proof(std::string_view proof,
                                       const CheckOptions& options = {});
 

@@ -843,9 +843,17 @@ DistributedResult explore_distributed(const synth::Specification& spec,
     if (have_proofs) {
       result.base.proof =
           cert::merged_proof_to_text(options.shard_objective, proofs);
+      const util::Timer check_timer;
       result.merged = cert::certify_merged(spec, union_discoveries,
                                            result.base.front, proofs,
                                            options.shard_objective);
+      // The merge checks after every shard has finished: all of it is tail.
+      result.base.stats.check_seconds = check_timer.elapsed_seconds();
+      result.base.stats.cert_tail_seconds = result.base.stats.check_seconds;
+      for (const cert::CheckResult& c : result.merged.checks) {
+        result.base.stats.hinted_learnts += c.hinted_learnts;
+        result.base.stats.rup_fallbacks += c.rup_fallbacks;
+      }
       result.base.certified = result.merged.certified;
       result.base.certificate_error = result.merged.error;
     } else {

@@ -28,6 +28,10 @@ void export_metrics(obs::MetricsRegistry& registry,
   registry.counter("explore.warm_rejected").set(s.warm_rejected);
   registry.counter("explore.replayed_clauses").set(s.replayed_clauses);
   registry.counter("explore.front_size").set(result.front.size());
+  registry.gauge("cert.check_seconds").set(s.check_seconds);
+  registry.gauge("cert.tail_seconds").set(s.cert_tail_seconds);
+  registry.counter("cert.hinted_learnts").set(s.hinted_learnts);
+  registry.counter("cert.rup_fallbacks").set(s.rup_fallbacks);
   registry.gauge("explore.seconds").set(s.seconds);
   registry.gauge("explore.complete").set(s.complete ? 1.0 : 0.0);
   if (s.seconds > 0.0) {

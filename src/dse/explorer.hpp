@@ -50,6 +50,15 @@ struct ExploreStats {
   /// Incremental re-exploration (respec.hpp): learnt clauses installed
   /// behind the replay guard (summed over workers in the portfolio).
   std::uint64_t replayed_clauses = 0;
+  /// Certified mode: seconds the proof checker was busy validating
+  /// witnesses and replaying the proof (on its own thread, alongside the
+  /// search, in a one-worker run), seconds from the end of the search to
+  /// the certification verdict, and how the checker closed the learnt
+  /// steps (CheckResult::hinted_learnts / rup_fallbacks).
+  double check_seconds = 0.0;
+  double cert_tail_seconds = 0.0;
+  std::uint64_t hinted_learnts = 0;
+  std::uint64_t rup_fallbacks = 0;
   /// Wall time of the whole explorer call: warm start, search, front
   /// certification and the final checkpoint write (what a caller timing the
   /// call would measure).

@@ -13,6 +13,7 @@
 
 #include "asp/proof.hpp"
 #include "cert/certify.hpp"
+#include "cert/online.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/context.hpp"
 #include "obs/collector.hpp"
@@ -64,6 +65,8 @@ struct SharedState {
   const std::size_t slice_parts;
 
   CheckpointWriter* checkpoint = nullptr;
+  /// The checker thread of a certified one-worker run (nullptr otherwise).
+  cert::OnlineCertifier* online = nullptr;
   const FaultPlan* fault = nullptr;
   FaultState fstate;
   std::uint64_t checkpoint_seed = 0;
@@ -273,6 +276,11 @@ void run_worker(std::size_t index, std::size_t total,
     const bool inserted = shared.archive.insert(point);
     if (shared.insert_hist != nullptr) {
       shared.insert_hist->observe(shared.archive.comparisons() - cmp_before);
+    }
+    // Online certification: the checker validates and admits the point
+    // before it replays the `F` step that the sync below logs.
+    if (inserted && shared.online != nullptr) {
+      shared.online->push_discovery(point, ctx.capture().implementation());
     }
     ctx.dominance().sync_shared();
     if (!inserted) {
@@ -584,6 +592,21 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
   if (certify) {
     for (auto& log : logs) log = std::make_unique<asp::ProofLog>();
   }
+  // A certified one-worker run has a single stream from the start, so a
+  // checker thread replays it while the search writes it.  A portfolio's
+  // winning stream is known only at the end, a shard's stream is judged
+  // by the merge, and resumed runs are not certifiable.
+  std::unique_ptr<cert::OnlineCertifier> online;
+  if (certify && threads == 1 && !options.shard.active && !resumed) {
+    online = std::make_unique<cert::OnlineCertifier>(spec);
+    for (const auto& [point, impl] : shared.witnesses) {
+      online->push_discovery(point, impl);  // the warm seeds
+    }
+    logs[0]->set_chunk_sink([checker = online.get()](std::string_view chunk) {
+      checker->push_chunk(chunk);
+    });
+    shared.online = online.get();
+  }
 
   if (threads == 1) {
     run_worker(0, 1, spec, options, shared, result.workers[0], logs[0].get(),
@@ -607,6 +630,7 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     }
     for (std::thread& t : pool) t.join();
   }
+  const util::Timer since_search;  // the certification tail starts here
   result.worker_errors = shared.errors;
   for (const WorkerError& e : result.worker_errors) {
     result.base.errors.push_back("exploration aborted: worker " +
@@ -664,6 +688,11 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     const auto winner =
         std::find_if(result.workers.begin(), result.workers.end(),
                      [](const WorkerReport& w) { return w.proved_complete; });
+    // Only a run that closed the global Unsat proof waits for a verdict.
+    if (online != nullptr &&
+        (!result.worker_errors.empty() || winner == result.workers.end())) {
+      online->cancel();
+    }
     if (!result.worker_errors.empty()) {
       result.base.certificate_error =
           "worker " + std::to_string(result.worker_errors.front().worker) +
@@ -676,20 +705,35 @@ ParallelExploreResult explore_parallel(const synth::Specification& spec,
     } else if (!stats.complete || winner == result.workers.end()) {
       // Emit the sequential anchor's stream, honestly truncation-marked, so
       // interrupted certified runs still hand over a checkable prefix.
-      result.base.proof = logs[0]->text() + "X 0\n";
+      logs[0]->truncation_marker();
+      result.base.proof = logs[0]->release();
       result.base.certificate_error =
           "no worker closed the global Unsat proof; nothing to certify";
     } else if (options.shard.active) {
       // Shard-banded run: the winning stream concludes Unsat under the
       // shard's box activations, not globally — hand it up unjudged; the
       // coordinator certifies the merged front with cert::certify_merged.
-      result.base.proof = logs[winner->worker]->text();
+      result.base.proof = logs[winner->worker]->release();
     } else {
-      result.base.proof = logs[winner->worker]->text();
-      std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
-          shared.witnesses.begin(), shared.witnesses.end());
-      const cert::CertifyResult cr = cert::certify_front(
-          spec, pairs, result.base.front, result.base.proof);
+      asp::ProofLog& log = *logs[winner->worker];
+      cert::CertifyResult cr;
+      if (online != nullptr) {
+        log.seal();  // the last chunk
+        cr = online->finish(result.base.front);
+        stats.check_seconds = online->busy_seconds();
+        result.base.proof = log.release();
+      } else {
+        result.base.proof = log.release();
+        std::vector<std::pair<pareto::Vec, synth::Implementation>> pairs(
+            shared.witnesses.begin(), shared.witnesses.end());
+        const util::Timer check_timer;
+        cr = cert::certify_front(spec, pairs, result.base.front,
+                                 result.base.proof);
+        stats.check_seconds = check_timer.elapsed_seconds();
+      }
+      stats.cert_tail_seconds = since_search.elapsed_seconds();
+      stats.hinted_learnts = cr.check.hinted_learnts;
+      stats.rup_fallbacks = cr.check.rup_fallbacks;
       result.base.certified = cr.certified;
       if (!cr.certified) result.base.certificate_error = cr.error;
     }

@@ -137,8 +137,11 @@ struct ParallelExploreResult {
 
 /// Compute the exact Pareto front of `spec` with a portfolio of
 /// `options.threads` diversified workers.  With threads == 1 the single
-/// worker runs inline in the calling thread (no thread is spawned); that
-/// configuration *is* the sequential explorer — dse::explore calls it.
+/// worker runs inline in the calling thread (no worker thread is spawned);
+/// that configuration *is* the sequential explorer — dse::explore calls
+/// it.  A certified one-worker run that is neither sharded nor resumed also
+/// starts one checker thread (cert/online.hpp), which replays the proof
+/// while the search writes it and is joined before this call returns.
 [[nodiscard]] ParallelExploreResult explore_parallel(
     const synth::Specification& spec, const ParallelExploreOptions& options = {});
 

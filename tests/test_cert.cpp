@@ -2,7 +2,8 @@
 // kind of the checker, real explorer proofs must verify, and mutated real
 // proofs must be rejected — a checker that accepts everything would make
 // `certified: yes` meaningless.  Learnt-step hints only change how fast a
-// verdict is reached: adversarial hint lists must never change it.
+// verdict is reached: adversarial hint lists must never change it.  Every
+// check here is also replayed in pieces, which must not change it either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "cert/checker.hpp"
 #include "dse/explorer.hpp"
 #include "proof_hints.hpp"
+#include "stream_check.hpp"
 #include "synth/specio.hpp"
 #include "synth_fixtures.hpp"
 
@@ -27,10 +29,16 @@
 namespace aspmt {
 namespace {
 
+/// The batch check of `proof`.  Every verdict in this file must come out
+/// the same when the stream arrives in pieces that cut its lines, as a
+/// checker running alongside the search receives it.
 cert::CheckResult check(const std::string& proof, bool require_unsat = false) {
   cert::CheckOptions opts;
   opts.require_global_unsat = require_unsat;
-  return cert::check_proof(proof, opts);
+  cert::CheckResult batch = cert::check_proof(proof, opts);
+  test::expect_same_check(batch, test::check_in_pieces(proof, opts, 1021),
+                          "fed in 1021-byte pieces");
+  return batch;
 }
 
 TEST(ProofChecker, RejectsMissingHeader) {

@@ -3,7 +3,8 @@
 // tests/golden/<name>.front and must be reproduced bit-for-bit by the
 // sequential explorer (in certified mode) and by the parallel portfolio at
 // 1, 2 and 4 threads.  Every certifying path must also log complete proof
-// hints (tests/proof_hints.hpp).  Regenerate after an intentional encoding change with
+// hints (tests/proof_hints.hpp), and a one-worker run's streamed
+// certification must agree with the batch check.  Regenerate after an intentional encoding change with
 //   ASPMT_WRITE_GOLDEN=1 ./aspmt_tests --gtest_filter='*GoldenFronts*'
 // and review the .front diff like any other code change.
 #include <gtest/gtest.h>
@@ -182,6 +183,39 @@ TEST_P(GoldenFronts, EveryCertifyingPathLogsCompleteHints) {
   const dse::ExploreResult w = dse::explore(spec, warm);
   ASSERT_TRUE(w.certified) << name << ": " << w.certificate_error;
   test::expect_hints_complete(w.proof, name + " warm start");
+}
+
+TEST_P(GoldenFronts, StreamedCertificationMatchesTheBatchCheck) {
+  // A certified one-worker run checks its proof on a thread alongside the
+  // search.  The proof it hands over is the same byte for byte on every
+  // run, and the batch check of certify_front reaches the same verdict and
+  // counts on it.
+  const GoldenCase& c = GetParam();
+  if (regenerating()) GTEST_SKIP() << "regeneration uses the sequential run";
+  const synth::Specification spec = load_case(c);
+  for (const bool warm : {false, true}) {
+    const std::string name = std::string(c.name) + (warm ? " warm start" : "");
+    dse::ParallelExploreOptions opts;
+    opts.threads = 1;
+    opts.common.certify = true;
+    if (warm) {
+      opts.common.warm_start.method = dse::WarmStartMethod::Nsga2;
+      opts.common.warm_start.budget = 120;
+    }
+    const dse::ParallelExploreResult r = dse::explore_parallel(spec, opts);
+    ASSERT_TRUE(r.base.certified) << name << ": " << r.base.certificate_error;
+    EXPECT_GT(r.base.stats.check_seconds, 0.0) << name;
+    EXPECT_EQ(r.base.stats.rup_fallbacks, 0U) << name;
+    EXPECT_EQ(dse::explore_parallel(spec, opts).base.proof, r.base.proof)
+        << name << ": the proof changed between two runs";
+
+    const cert::CertifyResult batch = cert::certify_front(
+        spec, r.discovery_witnesses, r.base.front, r.base.proof);
+    ASSERT_TRUE(batch.certified) << name << ": " << batch.error;
+    EXPECT_EQ(batch.check.hinted_learnts, r.base.stats.hinted_learnts) << name;
+    EXPECT_EQ(batch.check.rup_fallbacks, r.base.stats.rup_fallbacks) << name;
+    EXPECT_EQ(batch.check.unmatched_deletions, 0U) << name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

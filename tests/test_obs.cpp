@@ -109,8 +109,10 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
   obs::MetricsRegistry reg;
   dse::ExploreOptions opts;
   opts.common.metrics = &reg;
+  opts.common.certify = true;  // the cert.* metrics come from the checker
   const dse::ExploreResult r = dse::explore(test::chain3_bus(), opts);
   ASSERT_TRUE(r.stats.complete);
+  ASSERT_TRUE(r.certified) << r.certificate_error;
   EXPECT_EQ(reg.counter("explore.models").value(), r.stats.models);
   EXPECT_EQ(reg.counter("explore.prunings").value(), r.stats.prunings);
   EXPECT_EQ(reg.counter("explore.residual_conflicts").value(),
@@ -127,6 +129,13 @@ TEST(Obs, MetricsSnapshotMatchesExploreStats) {
             r.stats.archive_comparisons);
   EXPECT_EQ(reg.counter("explore.front_size").value(), r.front.size());
   EXPECT_EQ(reg.gauge("explore.complete").value(), 1.0);
+  EXPECT_EQ(reg.gauge("cert.check_seconds").value(), r.stats.check_seconds);
+  EXPECT_GT(r.stats.check_seconds, 0.0);
+  EXPECT_EQ(reg.gauge("cert.tail_seconds").value(), r.stats.cert_tail_seconds);
+  EXPECT_GT(r.stats.cert_tail_seconds, 0.0);
+  EXPECT_EQ(reg.counter("cert.hinted_learnts").value(), r.stats.hinted_learnts);
+  EXPECT_EQ(reg.counter("cert.rup_fallbacks").value(), r.stats.rup_fallbacks);
+  EXPECT_EQ(r.stats.rup_fallbacks, 0U);
   // Per-insert archive work was observed once per accepted model.
   EXPECT_EQ(reg.histogram("archive.comparisons_per_insert").count(),
             r.stats.models);

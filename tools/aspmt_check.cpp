@@ -36,18 +36,23 @@
 // --spec their weights are re-derived from that specification, as
 // `explore --certify` does, and a heavier claim rejects the proof.
 //
-// Every literal must have magnitude at most 2^31-1 (the solver's variables
-// are 32-bit) and at most the proof's length in bytes plus 2^20; a proof
-// with a larger one is rejected, not replayed.
+// The proof is read once, in fixed-size blocks, and each block is replayed
+// as it arrives (cert::StreamChecker); a merged container, recognised by
+// its first block, is read whole.  Every literal must have magnitude at
+// most 2^31-1 (the solver's variables are 32-bit) and at most the number of
+// bytes read so far plus 2^20; a proof with a larger one is rejected, not
+// replayed.
 //
-// Exit code: 0 when the proof verifies, 1 otherwise, 2 on usage errors.
+// Exit code: 0 when the proof verifies, 1 otherwise, 2 on usage errors and
+// on an input that cannot be read.
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,6 +65,16 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: aspmt_check proof.txt [--require-unsat] [--spec SPEC]\n";
+
+/// Bytes read from the proof file at a time.
+constexpr std::size_t kReadBlock = std::size_t{1} << 20;
+
+/// Read the next block of `in` into `block`.  False on a read error.
+bool read_block(std::FILE* in, std::string& block) {
+  block.resize(kReadBlock);
+  block.resize(std::fread(block.data(), 1, block.size(), in));
+  return std::ferror(in) == 0;
+}
 
 void print_steps(const aspmt::cert::CheckResult& r) {
   std::cout << "steps: " << r.input_clauses << " input, " << r.learnt_clauses
@@ -223,19 +238,32 @@ int main(int argc, char** argv) {
   }
   const aspmt::synth::Specification* spec_ptr =
       spec_path.empty() ? nullptr : &spec;
-  std::ifstream in(path);
-  if (!in) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  std::string block;
+  const auto cannot_read = [&path] {
     std::cerr << "cannot read '" << path << "'\n";
     return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  };
+  if (in == nullptr) return cannot_read();
+  std::setvbuf(in.get(), nullptr, _IONBF, 0);  // fread straight into block
+  if (!read_block(in.get(), block)) return cannot_read();
 
-  if (buffer.str().rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
-    return check_merged(buffer.str(), spec_ptr);
+  if (block.rfind(aspmt::cert::kMergedProofHeader, 0) == 0) {
+    std::string text = std::move(block);
+    do {
+      if (!read_block(in.get(), block)) return cannot_read();
+      text += block;
+    } while (!block.empty());
+    return check_merged(text, spec_ptr);
   }
 
-  const aspmt::cert::CheckResult r = aspmt::cert::check_proof(buffer.str(), options);
+  aspmt::cert::StreamChecker checker(options);
+  while (!block.empty()) {
+    checker.feed(block);
+    if (!read_block(in.get(), block)) return cannot_read();
+  }
+  const aspmt::cert::CheckResult r = checker.finish();
   print_steps(r);
   if (!r.ok) {
     std::cout << "REJECTED: " << r.error << "\n";

@@ -275,17 +275,22 @@ std::string front_to_text(const std::vector<pareto::Vec>& front) {
 
 /// Shared post-run plumbing for --certify / --proof / --front-out.  Returns
 /// the process exit code: certification failures trump the complete/timeout
-/// distinction so scripted runs can trust exit 0 == certified.
-int finish_explore(const Args& args, bool complete, bool certified,
-                   const std::string& certificate_error,
-                   const std::string& proof,
-                   const std::vector<pareto::Vec>& front) {
-  int rc = complete ? 0 : 3;
+/// distinction so scripted runs can trust exit 0 == certified.  The
+/// `certified:` line ends with the checker's busy seconds and the seconds
+/// from the end of the search to the verdict.
+int finish_explore(const Args& args, const dse::ExploreResult& r) {
+  const std::string& proof = r.proof;
+  const std::vector<pareto::Vec>& front = r.front;
+  int rc = r.stats.complete ? 0 : 3;
   if (args.flag("certify")) {
-    if (certified) {
-      std::cout << "certified: yes (witnesses validated, proof verified)\n";
+    const std::string timing = "; check " + util::fmt(r.stats.check_seconds, 3) +
+                               " s, tail " +
+                               util::fmt(r.stats.cert_tail_seconds, 3) + " s)\n";
+    if (r.certified) {
+      std::cout << "certified: yes (witnesses validated, proof verified"
+                << timing;
     } else {
-      std::cout << "certified: no (" << certificate_error << ")\n";
+      std::cout << "certified: no (" << r.certificate_error << timing;
       rc = 4;
     }
   }
@@ -500,8 +505,7 @@ int explore_incremental(const synth::Specification& spec, const Args& args) {
   }
   const int obs_rc = obs_setup.finish();
   const int rc =
-      finish_explore(args, r.base.stats.complete, r.base.certified,
-                     r.base.certificate_error, r.base.proof, r.base.front);
+      finish_explore(args, r.base);
   return rc != 0 ? rc : obs_rc;
 }
 
@@ -576,8 +580,7 @@ int explore_portfolio(const synth::Specification& spec, const Args& args) {
   }
   const int obs_rc = obs_setup.finish();
   const int rc =
-      finish_explore(args, r.base.stats.complete, r.base.certified,
-                     r.base.certificate_error, r.base.proof, r.base.front);
+      finish_explore(args, r.base);
   return rc != 0 ? rc : obs_rc;
 }
 
@@ -780,8 +783,7 @@ int explore_sharded(const synth::Specification& spec, const Args& args) {
   }
   const int obs_rc = obs_setup.finish();
   const int rc =
-      finish_explore(args, r.base.stats.complete, r.base.certified,
-                     r.base.certificate_error, r.base.proof, r.base.front);
+      finish_explore(args, r.base);
   return rc != 0 ? rc : obs_rc;
 }
 
